@@ -72,6 +72,19 @@ def isqrt(x: int) -> int:
     return math.isqrt(x)
 
 
+def candidate_bound(N: int, K: int) -> int:
+    """Largest candidate value K N^2 + isqrt(4K) N + 1 over [1, N] x [1, K].
+
+    The guard of every rectangle routine: ValueError for a side below 1,
+    OverflowError once the value leaves the 2^63 operating range.
+    """
+    if N < 1 or K < 1:
+        raise ValueError("rectangle bounds must be positive")
+    vmax = K * N * N + isqrt(4 * K) * N + 1
+    _check_range(vmax, "largest candidate")
+    return vmax
+
+
 def iroot(x: int, r: int) -> int:
     """Largest integer y with y^r <= x (x >= 0, r >= 1)."""
     if x < 0 or r < 1:

@@ -39,15 +39,6 @@ def _resolve_workers(workers):
     return workers
 
 
-def _check_rectangle(N, K):
-    if N < 1 or K < 1:
-        raise ValueError("rectangle bounds must be positive")
-    vmax = K * N * N + arith.isqrt(4 * K) * N + 1
-    if vmax > arith.LIMIT:
-        raise OverflowError("largest candidate %d exceeds the supported range" % vmax)
-    return vmax
-
-
 @dataclass(frozen=True)
 class CountGrid:
     """Exact counts and the missed list for one rectangle."""
@@ -90,7 +81,7 @@ class _SieveContext:
         self.N = N
         self.K = K
         self.L = arith.isqrt(4 * K)
-        self.vmax = _check_rectangle(N, K)
+        self.vmax = arith.candidate_bound(N, K)
         self.base = arith.primes_in_range(2, max(2, arith.isqrt(self.vmax)))
         widths = np.array([arith.isqrt(4 * k) for k in range(1, K + 1)], dtype=np.int64)
         lens = 2 * widths + 1
@@ -139,7 +130,7 @@ def _prime_power_marks(N, K):
     rows n dividing q - 1, and checks the few k whose window can contain
     q through the full realizability predicate.
     """
-    vmax = _check_rectangle(N, K)
+    vmax = arith.candidate_bound(N, K)
     L = arith.isqrt(4 * K)
     pps = []
     for p in arith.primes_in_range(2, max(2, arith.isqrt(vmax))).tolist():
@@ -226,6 +217,7 @@ def survey(N, K, workers=None):
 
 def membership_grid(N, K, workers=None):
     """Boolean membership tables, shape (N+1, K+1), index 0 unused."""
+    arith.candidate_bound(N, K)
     workers = _resolve_workers(workers)
     spi = np.zeros((N + 1, K + 1), dtype=bool)
     spp = np.zeros((N + 1, K + 1), dtype=bool)
@@ -270,7 +262,7 @@ def f_series(d_max, step=1, workers=None, resume=None, checkpoint_seconds=30.0):
     if step < 1:
         raise ValueError("step must be positive")
     workers = _resolve_workers(workers)
-    _check_rectangle(d_max, d_max)
+    arith.candidate_bound(d_max, d_max)
     start_n = 1
     missed = []
     if resume is not None and os.path.exists(resume):
@@ -299,21 +291,12 @@ def f_series(d_max, step=1, workers=None, resume=None, checkpoint_seconds=30.0):
 
 def witness_prime_sum_direct(N, K):
     """Sum of witness-prime counts over the rectangle, by per-pair scan."""
-    _check_rectangle(N, K)
-    total = 0
-    for n in range(1, N + 1):
-        for k in range(1, K + 1):
-            w = arith.isqrt(4 * k)
-            nn = n * n
-            for ell in range(-w, w + 1):
-                if arith.is_prime(k * nn + ell * n + 1):
-                    total += 1
-    return total
+    return int(witness_prime_sum_direct_grid(N, K)[N, K])
 
 
 def witness_prime_sum_direct_grid(N, K):
     """All partial sums at once: entry [N', K'] is the (N', K') value."""
-    _check_rectangle(N, K)
+    arith.candidate_bound(N, K)
     cell = np.zeros((N + 1, K + 1), dtype=np.int64)
     for n in range(1, N + 1):
         nn = n * n
@@ -349,7 +332,7 @@ def witness_prime_sum_progression(N, K):
     progression l n + 1 mod n^2 on ((ln/2 + 1)^2, K n^2 + l n + 1]; the
     lower endpoint is a square, so the half-open count is exact.
     """
-    _check_rectangle(N, K)
+    arith.candidate_bound(N, K)
     total = 0
     w = arith.isqrt(4 * K)
     for n in range(1, N + 1):
@@ -367,7 +350,7 @@ def witness_prime_sum_progression(N, K):
 
 def witness_prime_sum_progression_grid(N, K):
     """Partial-sum grid for the progression evaluation."""
-    _check_rectangle(N, K)
+    arith.candidate_bound(N, K)
     out = np.zeros((N + 1, K + 1), dtype=np.int64)
     w_full = arith.isqrt(4 * K)
     for n in range(1, N + 1):

@@ -535,13 +535,8 @@ def _tables(field):
         invsq = np.zeros(q, dtype=np.int64)
         invsq[1:] = T["INV"][T["SQ"][1:]]
         T["INVSQ"] = invsq
-        h0 = np.zeros(q, dtype=bool)
-        w0h = np.zeros(q, dtype=np.int64)
-        for w in range(q - 1, -1, -1):
-            c = field._mul[w][w] ^ w
-            h0[c] = True
-            w0h[c] = w
-        T["H0"], T["W0H"] = h0, w0h
+        T["H0"] = np.array([w is not None for w in field._h0root])
+        T["W0H"] = np.array([w or 0 for w in field._h0root], dtype=np.int64)
         T["SQRT2"] = np.array(field._sqrt2, dtype=np.int64)
         imt = np.zeros((q, q), dtype=bool)
         w0y = np.zeros((q, q), dtype=np.int64)
@@ -560,6 +555,18 @@ def _tables(field):
 
 # --- lane-parallel addition, one specialization per family ---
 
+def _lane_merge(P, Q, both, cancel, x3, y3):
+    """Per lane: (x3, y3) where both points are present and do not cancel,
+    the identity where they cancel, else whichever point is present."""
+    x1, y1, f1 = P
+    x2, y2, f2 = Q
+    produced = both & ~cancel
+    rx = np.where(produced, x3, np.where(f1, x1, x2))
+    ry = np.where(produced, y3, np.where(f1, y1, y2))
+    rf = np.where(both, produced, f1 | f2)
+    return rx, ry, rf
+
+
 def _badd_odd(T, a2c, a4c, P, Q):
     """p > 2, a1 = a3 = 0: y^2 = x^3 + a2 x^2 + a4 x + a6."""
     MUL, ADD, NEG, INV = T["MUL"], T["ADD"], T["NEG"], T["INV"]
@@ -569,7 +576,6 @@ def _badd_odd(T, a2c, a4c, P, Q):
     eqx = both & (x1 == x2)
     cancel = eqx & (y2 == NEG[y1])
     dbl = eqx & ~cancel
-    addm = both & ~eqx
 
     lam_a = MUL[ADD[y2, NEG[y1]], INV[ADD[x2, NEG[x1]]]]
     den = MUL[T["e2"], y1]
@@ -579,12 +585,7 @@ def _badd_odd(T, a2c, a4c, P, Q):
     lam = np.where(dbl, MUL[num, INV[den]], lam_a)
     x3 = ADD[MUL[lam, lam], NEG[ADD[a2c, ADD[x1, x2]]]]
     y3 = ADD[MUL[lam, ADD[x1, NEG[x3]]], NEG[y1]]
-
-    produced = dbl | addm
-    rx = np.where(produced, x3, np.where(f1, x1, x2))
-    ry = np.where(produced, y3, np.where(f1, y1, y2))
-    rf = np.where(both, produced, f1 | f2)
-    return rx, ry, rf
+    return _lane_merge(P, Q, both, cancel, x3, y3)
 
 
 def _badd_c2A(T, a2c, P, Q):
@@ -596,7 +597,6 @@ def _badd_c2A(T, a2c, P, Q):
     eqx = both & (x1 == x2)
     cancel = eqx & (y2 == (y1 ^ x1))
     dbl = eqx & ~cancel
-    addm = both & ~eqx
     if np.any(dbl & (x1 == 0)):
         raise RuntimeError("doubling at the two-torsion abscissa slipped the mask")
 
@@ -605,12 +605,7 @@ def _badd_c2A(T, a2c, P, Q):
     lam = np.where(dbl, lam_d, lam_a)
     x3 = MUL[lam, lam] ^ lam ^ a2c ^ x1 ^ x2
     y3 = MUL[lam ^ 1, x3] ^ y1 ^ MUL[lam, x1]
-
-    produced = dbl | addm
-    rx = np.where(produced, x3, np.where(f1, x1, x2))
-    ry = np.where(produced, y3, np.where(f1, y1, y2))
-    rf = np.where(both, produced, f1 | f2)
-    return rx, ry, rf
+    return _lane_merge(P, Q, both, cancel, x3, y3)
 
 
 def _badd_c2B(T, a3c, a3inv, a4c, P, Q):
@@ -623,19 +618,13 @@ def _badd_c2B(T, a3c, a3inv, a4c, P, Q):
     eqx = both & (x1 == x2)
     cancel = eqx & (y2 == (y1 ^ a3c))
     dbl = eqx & ~cancel
-    addm = both & ~eqx
 
     lam_a = MUL[y1 ^ y2, INV[x1 ^ x2]]
     lam_d = MUL[MUL[x1, x1] ^ a4c, a3inv]
     lam = np.where(dbl, lam_d, lam_a)
     x3 = MUL[lam, lam] ^ x1 ^ x2
     y3 = MUL[lam, x3] ^ y1 ^ MUL[lam, x1] ^ a3c
-
-    produced = dbl | addm
-    rx = np.where(produced, x3, np.where(f1, x1, x2))
-    ry = np.where(produced, y3, np.where(f1, y1, y2))
-    rf = np.where(both, produced, f1 | f2)
-    return rx, ry, rf
+    return _lane_merge(P, Q, both, cancel, x3, y3)
 
 
 def _bsmul(addf, args, e, P):

@@ -53,14 +53,6 @@ class BetaCell:
     beta: float | None
 
 
-def _check_grid(N, K):
-    if N < 1 or K < 1:
-        raise ValueError("grid bounds must be positive")
-    vmax = K * N * N + arith.isqrt(4 * K) * N + 1
-    if vmax > arith.LIMIT:
-        raise OverflowError("candidate bound %d exceeds the supported range" % vmax)
-
-
 def rho(n, k, ell):
     """Heuristic prime probability of the candidate value at (n, k, ell)."""
     if n < 1 or k < 1:
@@ -95,7 +87,7 @@ def b_grid(N, K):
     Returns (total, cells) with cells[n, k] = vartheta(n, k) in an
     (N+1, K+1) array whose zero row and column are zero.
     """
-    _check_grid(N, K)
+    arith.candidate_bound(N, K)
     nvec = np.arange(N + 1, dtype=np.int64)
     ratio = np.zeros(N + 1)
     ratio[1:] = nvec[1:] / np.array([arith.euler_phi(int(n)) for n in nvec[1:]],
@@ -123,7 +115,6 @@ def beta_grid(N, K):
     The ratio is None where the expected weight vanishes; rows come out
     in n-major order.
     """
-    _check_grid(N, K)
     _, spp = counting.membership_grid(N, K)
     hits = spp[1:, 1:].astype(np.int64).cumsum(axis=0).cumsum(axis=1)
     _, cells = b_grid(N, K)

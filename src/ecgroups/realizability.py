@@ -19,7 +19,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .arith import _check_range, is_prime, isqrt, prime_power_decompose
+from .arith import _check_range, candidate_bound, is_prime, isqrt, prime_power_decompose
 
 
 @dataclass(frozen=True)
@@ -75,74 +75,48 @@ class Witness:
         assert self.trace == self.ell * n + 2 == self.q + 1 - k * n * n
         assert self.trace * self.trace <= 4 * self.q
         assert (self.q - 1) % n == 0
-        cases = admissible_cases(self.p, self.m, self.trace)
-        assert self.case in cases
-        if cases == [WaterhouseCase.FullSquareTrace]:
-            e = 0
-            kk = k
-            while kk % self.p == 0:
-                kk //= self.p
-                e += 1
-            assert k == self.p ** e
+        assert trace_admissible(self.p, self.m, self.trace) is self.case
+        if self.case is WaterhouseCase.FullSquareTrace:
+            assert _k_is_power_of(k, self.p)
         return self
 
 
-def admissible_cases(p: int, m: int, a: int) -> list[WaterhouseCase]:
-    """All Waterhouse cases matching trace a over F_{p^m}, in standard order.
+def trace_admissible(p: int, m: int, a: int) -> WaterhouseCase | None:
+    """The Waterhouse case admitting trace a over F_{p^m}, or None.
 
-    The six conditions are mutually exclusive for a fixed (p, m, a), so the
-    list has at most one element; returning a list keeps the only-route check
-    in shape_realizable_over explicit.
+    At most one case holds: OrdinaryCoprime needs gcd(a, p) = 1, every
+    other case has p | a, and those differ in the parity of m or in |a|.
     """
     if not is_prime(p):
         raise ValueError("p must be prime")
     q = p ** m
     _check_range(q, "field size p^m")
     if a * a > 4 * q:
-        return []
-    out = []
+        return None
     if math.gcd(a, p) == 1:
-        out.append(WaterhouseCase.OrdinaryCoprime)
+        return WaterhouseCase.OrdinaryCoprime
     if m % 2 == 0:
         root = p ** (m // 2)
-        if a == 2 * root or a == -2 * root:
-            out.append(WaterhouseCase.FullSquareTrace)
-        if p % 3 != 1 and (a == root or a == -root):
-            out.append(WaterhouseCase.ThirdSquareTrace)
+        if abs(a) == 2 * root:
+            return WaterhouseCase.FullSquareTrace
+        if p % 3 != 1 and abs(a) == root:
+            return WaterhouseCase.ThirdSquareTrace
         if p % 4 != 1 and a == 0:
-            out.append(WaterhouseCase.ZeroTraceEven)
+            return WaterhouseCase.ZeroTraceEven
     else:
-        if p in (2, 3):
-            t = p ** ((m + 1) // 2)
-            if a == t or a == -t:
-                out.append(WaterhouseCase.SmallCharOddTrace)
+        if p in (2, 3) and abs(a) == p ** ((m + 1) // 2):
+            return WaterhouseCase.SmallCharOddTrace
         if a == 0:
-            out.append(WaterhouseCase.ZeroTraceOdd)
-    return out
-
-
-def trace_admissible(p: int, m: int, a: int) -> WaterhouseCase | None:
-    """First matching admissibility case for trace a over F_{p^m}, if any."""
-    cases = admissible_cases(p, m, a)
-    return cases[0] if cases else None
-
-
-def _ell_bound(k: int) -> int:
-    # |l| <= 2 sqrt(k) as the exact predicate l^2 <= 4k
-    return isqrt(4 * k)
-
-
-def _candidate_bound_check(shape: GroupShape):
-    n, k = shape.n, shape.k
-    _check_range(k * n * n + _ell_bound(k) * n + 1, "candidate value")
+            return WaterhouseCase.ZeroTraceOdd
+    return None
 
 
 def candidate_values(shape: GroupShape) -> list[tuple[int, int]]:
     """(l, kn^2 + ln + 1) for every l with l^2 <= 4k and value >= 2, l ascending."""
-    _candidate_bound_check(shape)
     n, k = shape.n, shape.k
+    candidate_bound(n, k)
     base = k * n * n + 1
-    L = _ell_bound(k)
+    L = isqrt(4 * k)  # |l| <= 2 sqrt(k) as the exact predicate l^2 <= 4k
     return [(ell, base + ell * n) for ell in range(-L, L + 1) if base + ell * n >= 2]
 
 
@@ -180,25 +154,17 @@ def shape_realizable_over(q: int, shape: GroupShape,
     n, k = shape.n, shape.k
     if (q - 1) % n != 0:
         return None
-    num = q - 1 - k * n * n
-    if num % n != 0:  # unreachable given q = 1 mod n; kept as a guard
-        return None
-    ell = num // n
+    ell = (q - 1 - k * n * n) // n  # exact: q = 1 mod n
     if ell * ell > 4 * k:
         return None
     a = ell * n + 2
-    cases = admissible_cases(p, m, a)
-    if not cases:
+    case = trace_admissible(p, m, a)
+    if case is None:
         return None
     # p | n would make the p-part of the target group rank 2; it cannot happen
     # here because q = 1 mod n already forces gcd(n, p) = 1.
-    non_full_square = [c for c in cases if c is not WaterhouseCase.FullSquareTrace]
-    if non_full_square:
-        case = cases[0]
-    elif _k_is_power_of(k, p):
-        case = WaterhouseCase.FullSquareTrace
-    else:
-        return None  # only route is the full-square case and n1 != n2
+    if case is WaterhouseCase.FullSquareTrace and not _k_is_power_of(k, p):
+        return None  # the full-square case forces n1 = n2
     return Witness(shape=shape, q=q, p=p, m=m, ell=ell, trace=a, case=case)
 
 
@@ -234,7 +200,6 @@ def square_witness_primes(shape: GroupShape) -> list[int]:
     Equivalently the primes in [n*sqrt(k) - 1, n*sqrt(k) + 1] with
     p^2 = 1 mod n; at most one exists outside two explicit exception families.
     """
-    _candidate_bound_check(shape)
     out = []
     for _, v in candidate_values(shape):
         r = isqrt(v)

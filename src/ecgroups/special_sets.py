@@ -73,15 +73,6 @@ class FixedDegreeWitness:
     ell: int
 
 
-def _rect_guard(k, T):
-    if k < 1 or T < 1:
-        raise ValueError("bounds must be positive")
-    vmax = k * T * T + arith.isqrt(4 * k) * T + 1
-    if vmax > arith.LIMIT:
-        raise OverflowError("candidate bound %d exceeds the supported range" % vmax)
-    return vmax
-
-
 def _solve_n(k, ell, q):
     """The positive integer n with k n^2 + ell n + 1 = q, if one exists."""
     disc = ell * ell + 4 * k * (q - 1)
@@ -113,43 +104,45 @@ def _scan_degree_one(k, T, require_realizable):
     return out
 
 
-def _scan_higher_degree(m, k, T, require_realizable, vmax):
+def _prime_power_hits(m, k, q_max):
+    """(n, p, ell) with p^m = k n^2 + ell n + 1, p prime, p^m <= q_max, ell^2 <= 4k."""
     w = arith.isqrt(4 * k)
-    out = set()
-    pmax = arith.iroot(vmax, m)
-    for p in arith.primes_in_range(2, max(2, pmax)).tolist():
+    pmax = arith.iroot(q_max, m)
+    if pmax < 2:
+        return
+    for p in arith.primes_in_range(2, pmax).tolist():
         q = p ** m
-        if q > vmax:
-            continue
         for ell in range(-w, w + 1):
             n = _solve_n(k, ell, q)
-            if n is None or n > T:
+            if n is not None:
+                yield n, p, ell
+
+
+def _n_set(m, k, T, require_realizable):
+    if m < 1:
+        raise ValueError("degree must be positive")
+    vmax = arith.candidate_bound(T, k)
+    if m == 1:
+        return _scan_degree_one(k, T, require_realizable)
+    out = set()
+    for n, p, _ in _prime_power_hits(m, k, vmax):
+        if n > T:
+            continue
+        if require_realizable:
+            if shape_realizable_over(p ** m, GroupShape(n, k), _decomp=(p, m)) is None:
                 continue
-            if require_realizable:
-                if shape_realizable_over(q, GroupShape(n, k), _decomp=(p, m)) is None:
-                    continue
-            out.add(n)
+        out.add(n)
     return sorted(out)
 
 
 def candidate_n_set(m, k, T):
     """All n <= T with an exact degree-m prime-power candidate for (n, k)."""
-    if m < 1:
-        raise ValueError("degree must be positive")
-    vmax = _rect_guard(k, T)
-    if m == 1:
-        return _scan_degree_one(k, T, False)
-    return _scan_higher_degree(m, k, T, False, vmax)
+    return _n_set(m, k, T, False)
 
 
 def realizable_n_set(m, k, T):
     """All n <= T realized by some field of size p^m; subset of the candidates."""
-    if m < 1:
-        raise ValueError("degree must be positive")
-    vmax = _rect_guard(k, T)
-    if m == 1:
-        return _scan_degree_one(k, T, True)
-    return _scan_higher_degree(m, k, T, True, vmax)
+    return _n_set(m, k, T, True)
 
 
 # ---------------------------------------------------------------------------
@@ -219,22 +212,11 @@ def high_degree_search(k, m_max=DEFAULT_DEGREE_MAX, q_max=DEFAULT_Q_MAX):
         raise ValueError("q_max admits no cube")
     if q_max > arith.LIMIT:
         raise OverflowError("q_max exceeds the supported range")
-    w = arith.isqrt(4 * k)
     found = []
     for m in range(3, m_max + 1):
-        pmax = arith.iroot(q_max, m)
-        if pmax < 2:
-            break
-        for p in arith.primes_in_range(2, pmax).tolist():
-            q = p ** m
-            if q > q_max:
-                continue
-            for ell in range(-w, w + 1):
-                n = _solve_n(k, ell, q)
-                if n is None:
-                    continue
-                if shape_realizable_over(q, GroupShape(n, k), _decomp=(p, m)) is not None:
-                    found.append(HighDegreeWitness(n, p, m, ell))
+        for n, p, ell in _prime_power_hits(m, k, q_max):
+            if shape_realizable_over(p ** m, GroupShape(n, k), _decomp=(p, m)) is not None:
+                found.append(HighDegreeWitness(n, p, m, ell))
     found.sort(key=lambda e: (e.n, e.m, e.p, e.ell))
     return found
 
@@ -302,7 +284,7 @@ def balanced_n_set(m, T, verify_limit=DEFAULT_VERIFY_LIMIT):
     """
     if m < 1 or T < 1:
         raise ValueError("degree and bound must be positive")
-    _rect_guard(1, T)
+    arith.candidate_bound(T, 1)
     if m == 1:
         fast = [n for n in range(1, T + 1)
                 if arith.is_prime(n * n + 1)

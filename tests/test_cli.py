@@ -1,6 +1,10 @@
 """End-to-end subcommand behavior: payload shapes, exit codes, determinism."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -220,10 +224,27 @@ def test_exit_codes(capsys):
     big = str(4 * 10 ** 9)
     assert cli.main(["missed", "--nmax", big, "--kmax", big]) == 3
     capsys.readouterr()
+    assert cli.main(["grid", "--nmax", "100000000", "--kmax", "1000"]) == 3
+    capsys.readouterr()
     assert cli.main(["oracle", "--qmax", "1000"]) == 3
     capsys.readouterr()
     assert cli.main(["check", "5"]) == 2
     capsys.readouterr()
+
+
+def test_benchmark_tracer_hooks():
+    # the benchmark's tracer rebinds package attributes by name, so a rename
+    # it depends on fails here instead of only in a traced benchmark run
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "perfbench")]))
+    code = ("import sys, tracer\n"
+            "from ecgroups import cli\n"
+            "tracer.install(tracer.Tracer())\n"
+            "sys.exit(cli.main(['missed', '--nmax', '12', '--kmax', '12']))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_out_file(tmp_path, capsys):

@@ -151,6 +151,11 @@ def test_bad_arguments():
         heuristics.bateman_horn_C(2)
     with pytest.raises(OverflowError):
         heuristics.b_grid(1, 1 << 63)
+    # at (1, K) the largest candidate is exactly 2^63, one past the range
+    K = 9223372030780774810
+    assert arith.candidate_bound(1, K - 1) == arith.LIMIT - 1
+    with pytest.raises(OverflowError):
+        heuristics.b_grid(1, K)
 
 
 @settings(max_examples=30, deadline=None)

@@ -8,7 +8,6 @@ from ecgroups import arith
 from ecgroups.realizability import (
     GroupShape,
     WaterhouseCase,
-    admissible_cases,
     candidate_prime_powers,
     candidate_values,
     hasse_window,
@@ -61,13 +60,24 @@ def test_trace_admissible_rejects_composite_p():
 
 
 def test_admissible_cases_mutually_exclusive():
-    # for any fixed (p, m, a) at most one of the six conditions can hold
+    # for any fixed (p, m, a) at most one of the six Waterhouse conditions
+    # holds, and trace_admissible returns exactly that one
+    C = WaterhouseCase
     for p in (2, 3, 5, 7, 13):
         for m in (1, 2, 3, 4):
             q = p ** m
             w = arith.isqrt(4 * q)
             for a in range(-w, w + 1):
-                assert len(admissible_cases(p, m, a)) <= 1
+                held = [case for case, cond in (
+                    (C.OrdinaryCoprime, math.gcd(a, p) == 1),
+                    (C.FullSquareTrace, m % 2 == 0 and a * a == 4 * q),
+                    (C.ThirdSquareTrace, m % 2 == 0 and p % 3 != 1 and a * a == q),
+                    (C.SmallCharOddTrace, m % 2 == 1 and p in (2, 3) and a * a == p * q),
+                    (C.ZeroTraceEven, m % 2 == 0 and p % 4 != 1 and a == 0),
+                    (C.ZeroTraceOdd, m % 2 == 1 and a == 0),
+                ) if cond]
+                assert len(held) <= 1
+                assert trace_admissible(p, m, a) is (held[0] if held else None)
 
 
 def test_candidate_prime_powers_fixed():
