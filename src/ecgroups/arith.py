@@ -106,30 +106,37 @@ def iroot(x: int, r: int) -> int:
     return y
 
 
-_ROOT_EXPONENTS = tuple(p for p in _SMALL_PRIMES if p <= 63)
+# (r, 67^r) for the prime root degrees r with 67^r < 2^63: once q has no prime
+# factor up to 61, a root of degree r >= 11 would be below 67
+_ROOT_BOUNDS = tuple((r, 67 ** r) for r in _SMALL_PRIMES if 67 ** r < LIMIT)
 
 
 def prime_power_decompose(q: int) -> tuple[int, int] | None:
     """Write q = p^m with p prime, or return None.
 
-    Strips exact prime-degree roots first (degrees up to 63 cover every
-    perfect power below 2^63), then checks primality of what remains.
+    Trial division by the primes up to 61 settles every q with such a factor
+    p: it is p^m or no prime power.  Otherwise every prime factor is >= 67,
+    so q = p^m needs 67^m <= q, and below 2^63 only the prime root degrees
+    r in {2, 3, 5, 7} (67^r <= q) can occur.  Those roots are stripped,
+    repeatedly, and what remains must be prime.
     """
     if q < 2:
         return None
     _check_range(q)
+    for p in _SMALL_PRIMES:
+        if q % p == 0:
+            m = 0
+            while q % p == 0:
+                q //= p
+                m += 1
+            return (p, m) if q == 1 else None
     m = 1
-    r_idx = 0
-    while r_idx < len(_ROOT_EXPONENTS):
-        r = _ROOT_EXPONENTS[r_idx]
-        if (1 << r) > q:
-            break
-        root = iroot(q, r)
-        if root ** r == q:
-            q = root
-            m *= r
-            continue
-        r_idx += 1
+    for r, bound in _ROOT_BOUNDS:
+        while bound <= q:
+            root = iroot(q, r)
+            if root ** r != q:
+                break
+            q, m = root, m * r
     if is_prime(q):
         return (q, m)
     return None

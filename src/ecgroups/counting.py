@@ -218,6 +218,11 @@ def survey(N, K, workers=None):
 def membership_grid(N, K, workers=None):
     """Boolean membership tables, shape (N+1, K+1), index 0 unused."""
     arith.candidate_bound(N, K)
+    need = 2 * (N + 1) * (K + 1)
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise OverflowError(f"membership tables need {need} bytes, "
+                            f"more than the {have} bytes of physical memory")
     workers = _resolve_workers(workers)
     spi = np.zeros((N + 1, K + 1), dtype=bool)
     spp = np.zeros((N + 1, K + 1), dtype=bool)

@@ -120,18 +120,21 @@ def candidate_values(shape: GroupShape) -> list[tuple[int, int]]:
     return [(ell, base + ell * n) for ell in range(-L, L + 1) if base + ell * n >= 2]
 
 
+def _prime_power_candidates(shape: GroupShape):
+    """(l, (p, m)) for the prime-power candidate values, l ascending, decomposed lazily."""
+    for ell, v in candidate_values(shape):
+        d = prime_power_decompose(v)
+        if d is not None:
+            yield ell, d
+
+
 def candidate_prime_powers(shape: GroupShape) -> list[tuple[int, tuple[int, int]]]:
     """The candidate field sizes for `shape`: prime powers among its values.
 
     Returns (l, (p, m)) pairs ascending in l; these are the only q over which
     the shape can possibly be realized.
     """
-    out = []
-    for ell, v in candidate_values(shape):
-        d = prime_power_decompose(v)
-        if d is not None:
-            out.append((ell, d))
-    return out
+    return list(_prime_power_candidates(shape))
 
 
 def _k_is_power_of(k: int, p: int) -> bool:
@@ -181,8 +184,12 @@ def smallest_prime_witness(shape: GroupShape) -> int | None:
 
 
 def smallest_prime_power_witness(shape: GroupShape) -> Witness | None:
-    """Witness over the smallest q realizing the shape, or None."""
-    for _, (p, m) in candidate_prime_powers(shape):
+    """Witness over the smallest q realizing the shape, or None.
+
+    Candidates are decomposed one at a time and the search stops at the
+    first realizing q.
+    """
+    for _, (p, m) in _prime_power_candidates(shape):
         w = shape_realizable_over(p ** m, shape, _decomp=(p, m))
         if w is not None:
             return w

@@ -73,20 +73,6 @@ class FixedDegreeWitness:
     ell: int
 
 
-def _solve_n(k, ell, q):
-    """The positive integer n with k n^2 + ell n + 1 = q, if one exists."""
-    disc = ell * ell + 4 * k * (q - 1)
-    if disc < 0:
-        return None
-    r = arith.isqrt(disc)
-    if r * r != disc:
-        return None
-    num = r - ell
-    if num <= 0 or num % (2 * k):
-        return None
-    return num // (2 * k)
-
-
 def _scan_degree_one(k, T, require_realizable):
     w = arith.isqrt(4 * k)
     out = []
@@ -105,17 +91,24 @@ def _scan_degree_one(k, T, require_realizable):
 
 
 def _prime_power_hits(m, k, q_max):
-    """(n, p, ell) with p^m = k n^2 + ell n + 1, p prime, p^m <= q_max, ell^2 <= 4k."""
-    w = arith.isqrt(4 * k)
+    """(n, p, ell) with p^m = k n^2 + ell n + 1, p prime, p^m <= q_max, ell^2 <= 4k.
+
+    Inverted by n: (q - 1)/k = n^2 + ell n / k and |ell| <= 2 sqrt(k) give
+    (n - 2)^2 <= (q - 1)/k < (n + 1)^2 for n >= 2, so c <= n <= c + 2 for
+    c = isqrt((q - 1) // k). Per p they come in descending n, which is
+    ascending ell.
+    """
     pmax = arith.iroot(q_max, m)
     if pmax < 2:
         return
     for p in arith.primes_in_range(2, pmax).tolist():
-        q = p ** m
-        for ell in range(-w, w + 1):
-            n = _solve_n(k, ell, q)
-            if n is not None:
-                yield n, p, ell
+        q1 = p ** m - 1
+        c = arith.isqrt(q1 // k)
+        for n in range(c + 2, max(c - 1, 0), -1):
+            if q1 % n == 0:
+                ell = q1 // n - k * n
+                if ell * ell <= 4 * k:
+                    yield n, p, ell
 
 
 def _n_set(m, k, T, require_realizable):

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -79,6 +80,9 @@ def test_prime_power_decompose_fixed():
     assert arith.prime_power_decompose(4096) == (2, 12)
     assert arith.prime_power_decompose(961) == (31, 2)
     assert arith.prime_power_decompose(1024 * 1024 - 1) is None
+    # no prime factor up to 61, yet not a prime power (4757 = 67 * 71)
+    for q in ((67 * 71) ** 2, 4757 ** 3, 67 ** 2 * 71, (2 ** 31 - 1) * 65537):
+        assert arith.prime_power_decompose(q) is None, q
 
 
 def test_prime_power_decompose_all_small():
@@ -101,6 +105,36 @@ def test_prime_power_decompose_roundtrip(p, m):
     q = p ** m
     if q < 2 ** 63:
         assert arith.prime_power_decompose(q) == (p, m)
+
+
+def test_prime_power_decompose_roundtrip_large_base():
+    # bases past the trial-division primes go through the root stripping
+    for p in (67, 71, 101, 65537, 2 ** 31 - 1):
+        q, m = p, 1
+        while q < 2 ** 63:
+            assert arith.prime_power_decompose(q) == (p, m), (p, m)
+            q, m = q * p, m + 1
+
+
+def _decompose_all_exponents(q):
+    # the literal test: an exact m-th root that is prime, for every m
+    for m in range(62, 0, -1):
+        r = arith.iroot(q, m)
+        if r ** m == q and arith.is_prime(r):
+            return (r, m)
+    return None
+
+
+def test_prime_power_decompose_matches_all_exponent_loop():
+    rng = random.Random(20261018)
+    values = []
+    for _ in range(10000):
+        values.append(rng.randrange(2, 2 ** 63))
+        # a perfect power, so the root stripping is exercised as well
+        m = rng.randrange(2, 63)
+        values.append(rng.randrange(2, arith.iroot(2 ** 63 - 1, m) + 1) ** m)
+    for q in values:
+        assert arith.prime_power_decompose(q) == _decompose_all_exponents(q), q
 
 
 def test_primes_in_range_fixed():

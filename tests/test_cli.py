@@ -226,6 +226,9 @@ def test_exit_codes(capsys):
     capsys.readouterr()
     assert cli.main(["grid", "--nmax", "100000000", "--kmax", "1000"]) == 3
     capsys.readouterr()
+    # fits below 2^63, but the two membership tables would need ~2 TB
+    assert cli.main(["grid", "--nmax", "1000000", "--kmax", "1000000"]) == 3
+    capsys.readouterr()
     assert cli.main(["oracle", "--qmax", "1000"]) == 3
     capsys.readouterr()
     assert cli.main(["check", "5"]) == 2
@@ -241,7 +244,11 @@ def test_benchmark_tracer_hooks():
     code = ("import sys, tracer\n"
             "from ecgroups import cli\n"
             "tracer.install(tracer.Tracer())\n"
-            "sys.exit(cli.main(['missed', '--nmax', '12', '--kmax', '12']))\n")
+            "for argv in (['missed', '--nmax', '12', '--kmax', '12'], ['check', '12', '5'],\n"
+            "             ['kk', '--k', '5'], ['constants', '--euler-product-bound', '1000']):\n"
+            "    rc = cli.main(argv)\n"
+            "    if rc:\n"
+            "        sys.exit('%s exited %d' % (argv, rc))\n")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

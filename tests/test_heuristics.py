@@ -131,11 +131,18 @@ def test_bateman_horn_convergence():
 
 
 def test_bateman_horn_character_values():
-    # the two characters drive the products; pin them against legendre_symbol
-    for p in (5, 7, 11, 13):
-        assert arith.legendre_symbol(-1, p) == (1 if p % 4 == 1 else -1)
-        assert arith.legendre_symbol(-3, p) == (1 if p % 3 == 1 else -1)
-    assert arith.legendre_symbol(-3, 3) == 0
+    # the two characters drive the products; pin the closed forms against
+    # legendre_symbol, and the product against one built from legendre_symbol
+    P = 10 ** 4
+    t1 = t2 = 1.0
+    for p in arith.primes_in_range(3, P).tolist():
+        chi4 = arith.legendre_symbol(-1, p)
+        chi3 = arith.legendre_symbol(-3, p)
+        assert chi4 == (1 if p % 4 == 1 else -1), p
+        assert chi3 == (0 if p == 3 else 1 if p % 3 == 1 else -1), p
+        t1 *= 1.0 - chi4 / (p - 1)
+        t2 *= 1.0 - chi3 / (p - 1)
+    assert heuristics.bateman_horn_C(P).value == 0.5 * t1 + t2
 
 
 def test_bad_arguments():

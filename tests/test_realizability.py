@@ -176,6 +176,18 @@ def test_prime_witness_head_consistency(s):
 
 
 @given(shapes)
+@settings(max_examples=150)
+def test_smallest_witness_is_first_realizing_candidate(s):
+    # the lazy search must stop exactly where the full candidate list first realizes
+    first = None
+    for _, (p, m) in candidate_prime_powers(s):
+        first = shape_realizable_over(p ** m, s, _decomp=(p, m))
+        if first is not None:
+            break
+    assert smallest_prime_power_witness(s) == first
+
+
+@given(shapes)
 @settings(max_examples=100)
 def test_witness_weil_congruence(s):
     w = smallest_prime_power_witness(s)

@@ -111,6 +111,38 @@ def test_inversion_matches_decomposition_scan():
             assert ss.realizable_n_set(m, k, 80) == _reference_n_set(m, k, 80, True)
 
 
+def _solve_n(k, ell, q):
+    """The positive integer n with k n^2 + ell n + 1 = q, if one exists."""
+    disc = ell * ell + 4 * k * (q - 1)
+    r = math.isqrt(disc)
+    if r * r != disc:
+        return None
+    num = r - ell
+    if num <= 0 or num % (2 * k):
+        return None
+    return num // (2 * k)
+
+
+def _reference_hits(m, k, q_max):
+    # the l-scan: solve the quadratic in n for every prime p and every ell
+    w = math.isqrt(4 * k)
+    out = []
+    for p in arith.primes_in_range(2, arith.iroot(q_max, m)).tolist():
+        for ell in range(-w, w + 1):
+            n = _solve_n(k, ell, p ** m)
+            if n is not None:
+                out.append((n, p, ell))
+    return out
+
+
+def test_prime_power_hits_match_ell_scan():
+    # the frozen tables stop at k = 5; this covers every cofactor up to 40
+    for k in range(1, 41):
+        for m in range(2, 12):
+            got = list(ss._prime_power_hits(m, k, 10 ** 10))
+            assert got == _reference_hits(m, k, 10 ** 10), (m, k)
+
+
 def test_degree_two_classify_frozen():
     c = ss.degree_two_classify(26)
     assert c.tag is ss.DegreeTwoTag.PRIME_SQUARE_PLUS_ONE and c.p == 5
