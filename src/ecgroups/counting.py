@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import resource
 import time
 from dataclasses import dataclass
 from multiprocessing import Pool
@@ -215,14 +216,31 @@ def survey(N, K, workers=None):
     return CountGrid(N, K, n_pi, n_Pi, missed)
 
 
+def _memory_budget():
+    """Bytes the process may hold: the least of physical memory, the soft
+    address-space limit and its cgroup v2 memory.max, where those are set."""
+    limits = [os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")]
+    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+    if soft != resource.RLIM_INFINITY:
+        limits.append(soft)
+    try:
+        with open("/proc/self/cgroup") as fh:
+            rel = next(line[3:].strip() for line in fh if line.startswith("0::"))
+        with open("/sys/fs/cgroup" + rel.rstrip("/") + "/memory.max") as fh:
+            limits.append(int(fh.read()))
+    except (OSError, StopIteration, ValueError):
+        pass
+    return min(limits)
+
+
 def membership_grid(N, K, workers=None):
     """Boolean membership tables, shape (N+1, K+1), index 0 unused."""
     arith.candidate_bound(N, K)
     need = 2 * (N + 1) * (K + 1)
-    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    have = _memory_budget()
     if need > have:
         raise OverflowError(f"membership tables need {need} bytes, "
-                            f"more than the {have} bytes of physical memory")
+                            f"more than the {have} bytes of memory available")
     workers = _resolve_workers(workers)
     spi = np.zeros((N + 1, K + 1), dtype=bool)
     spp = np.zeros((N + 1, K + 1), dtype=bool)

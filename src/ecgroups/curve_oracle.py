@@ -1,16 +1,17 @@
 """Ground truth by exhaustion: curve groups over small finite fields.
 
 Fields up to the oracle bound are built with explicit arithmetic tables,
-every curve in the reduced Weierstrass families is enumerated, and the
-group shape of each curve is computed by exhausting its points. The
+and the group shape of a curve is computed by exhausting its points. The
 resulting atlas of realized (n, k) pairs per field is the reference that
 the closed-form realizability predicate is validated against.
 
 Two independent code paths coexist on purpose. The scalar path
-(enumerate_curves, group_structure) uses the fully general long
-Weierstrass addition law one point at a time. The vectorized path inside
-realized_shapes recomputes everything with numpy lane arithmetic and
-per-family specializations. The test suite checks them against each other.
+(enumerate_curves, group_structure) walks every curve of the reduced
+Weierstrass families with the fully general long Weierstrass addition
+law, one point at a time. The vectorized path inside realized_shapes
+walks only the Weierstrass normal forms, one curve or more per
+isomorphism class, with numpy lane arithmetic and per-family
+specializations. The test suite checks them against each other.
 """
 
 from __future__ import annotations
@@ -364,14 +365,6 @@ def enumerate_curves(field):
                     yield CurveModel(field, 0, 0, a3, a4, a6)
 
 
-def _neg_point(curve, P):
-    if P is None:
-        return None
-    F = curve.field
-    x, y = P
-    return (x, F.neg(F.add(y, F.add(F.mul(curve.a1, x), curve.a3))))
-
-
 def _point_add(curve, P, Q):
     """Full long Weierstrass chord-and-tangent addition."""
     if P is None:
@@ -538,17 +531,6 @@ def _tables(field):
         T["H0"] = np.array([w is not None for w in field._h0root])
         T["W0H"] = np.array([w or 0 for w in field._h0root], dtype=np.int64)
         T["SQRT2"] = np.array(field._sqrt2, dtype=np.int64)
-        imt = np.zeros((q, q), dtype=bool)
-        w0y = np.zeros((q, q), dtype=np.int64)
-        rept = np.zeros((q, q), dtype=np.int64)
-        for a3 in range(1, q):
-            for y in range(q - 1, -1, -1):
-                c = field._mul[y][y] ^ field._mul[a3][y]
-                imt[a3, c] = True
-                w0y[a3, c] = y
-            K = np.nonzero(imt[a3])[0]
-            rept[a3] = np.bitwise_xor.outer(np.arange(q), K).min(axis=1)
-        T["IMT"], T["W0Y"], T["REPT"] = imt, w0y, rept
     field._np = T
     return T
 
@@ -608,10 +590,9 @@ def _badd_c2A(T, a2c, P, Q):
     return _lane_merge(P, Q, both, cancel, x3, y3)
 
 
-def _badd_c2B(T, a3c, a3inv, a4c, P, Q):
+def _badd_c2B(T, a3c, a4c, P, Q):
     """p = 2 supersingular family: y^2 + a3 y = x^3 + a4 x + a6."""
-    MUL = T["MUL"]
-    INV = T["INV"]
+    MUL, INV = T["MUL"], T["INV"]
     x1, y1, f1 = P
     x2, y2, f2 = Q
     both = f1 & f2
@@ -620,7 +601,7 @@ def _badd_c2B(T, a3c, a3inv, a4c, P, Q):
     dbl = eqx & ~cancel
 
     lam_a = MUL[y1 ^ y2, INV[x1 ^ x2]]
-    lam_d = MUL[MUL[x1, x1] ^ a4c, a3inv]
+    lam_d = MUL[MUL[x1, x1] ^ a4c, INV[a3c]]
     lam = np.where(dbl, lam_d, lam_a)
     x3 = MUL[lam, lam] ^ x1 ^ x2
     y3 = MUL[lam, x3] ^ y1 ^ MUL[lam, x1] ^ a3c
@@ -662,7 +643,6 @@ def _pts_odd(T, a2r, a4r, a6r):
 
 def _pts_c2A(T, a2r, a6r):
     MUL = T["MUL"]
-    q = T["q"]
     Xn = T["X"][1:]
     c = Xn[None, :] ^ a2r[:, None] ^ MUL[a6r[:, None], T["INVSQ"][Xn][None, :]]
     v = T["H0"][c]
@@ -677,14 +657,17 @@ def _pts_c2A(T, a2r, a6r):
 
 
 def _pts_c2B(T, a3r, a4r, a6r):
+    # y^2 + a3 y = C has the roots a3 w and a3 (w + 1), where w^2 + w = C / a3^2
     MUL = T["MUL"]
     X = T["X"][None, :]
+    a3c = a3r[:, None]
     C = T["X3"][None, :] ^ MUL[a4r[:, None], X] ^ a6r[:, None]
-    v = T["IMT"][a3r[:, None], C]
-    y0 = T["W0Y"][a3r[:, None], C]
+    c = MUL[C, T["INVSQ"][a3c]]
+    v = T["H0"][c]
+    y0 = MUL[a3c, T["W0H"][c]]
     bx = np.broadcast_to(X, C.shape)
     x = np.concatenate([bx, bx], axis=1)
-    y = np.concatenate([y0, y0 ^ a3r[:, None]], axis=1)
+    y = np.concatenate([y0, y0 ^ a3c], axis=1)
     f = np.concatenate([v, v], axis=1)
     return x, y, f
 
@@ -741,71 +724,53 @@ def _forced_or_resolve(field, fam_rows, N, make_pts, make_add_args, shapes):
         shapes |= _resolve_class(field, Nval, rows, make_pts, make_add_args)
 
 
-def _char2_shapes(field):
+def _coset_reps(T, d):
+    """Smallest element of each coset of the d-th powers in the unit group."""
+    MUL, units = T["MUL"], T["X"][1:]
+    powers = units
+    for _ in range(d - 1):
+        powers = MUL[powers, units]
+    reps, covered = [], np.zeros(T["q"], dtype=bool)
+    for a in units.tolist():
+        if not covered[a]:
+            reps.append(a)
+            covered[MUL[a, powers]] = True
+    return np.array(reps, dtype=np.int64)
+
+
+def _grid(*axes):
+    """Every combination of the axis values, one flat array per axis."""
+    return tuple(g.ravel() for g in np.meshgrid(*axes, indexing="ij"))
+
+
+def _families(field):
+    """(rows, make_pts, make_add_args) for each normal form of realized_shapes.
+
+    rows are coefficient arrays holding at least one curve of every
+    isomorphism class over the field.
+    """
     T = _tables(field)
-    q = field.q
-    shapes = set()
+    X, MUL = T["X"], T["MUL"]
+    if field.p == 2:
+        delta = field._h0root.index(None)
+        a3, a4, t = _grid(_coset_reps(T, 3), X, [0, 1])
+        return [(_grid([0, delta], X[1:]),
+                 lambda sel: _pts_c2A(T, *sel),
+                 lambda sel: (_badd_c2A, (T, sel[0][:, None]))),
+                ((a3, a4, t * MUL[T["SQ"][a3], delta]),
+                 lambda sel: _pts_c2B(T, *sel),
+                 lambda sel: (_badd_c2B, (T, sel[0][:, None], sel[1][:, None])))]
 
-    # ordinary family: a2 free, a6 nonzero
-    a2r = np.repeat(np.arange(q, dtype=np.int64), q - 1)
-    a6r = np.tile(np.arange(1, q, dtype=np.int64), q)
-    Xn = T["X"][1:]
-    c = Xn[None, :] ^ a2r[:, None] ^ T["MUL"][a6r[:, None], T["INVSQ"][Xn][None, :]]
-    N = 2 + 2 * T["H0"][c].sum(axis=1)
-
-    _forced_or_resolve(field, (a2r, a6r), N,
-                       lambda sel: _pts_c2A(T, sel[0], sel[1]),
-                       lambda sel: (_badd_c2A, (T, sel[0][:, None])), shapes)
-
-    # supersingular family: a3 nonzero, with the vertical-shift orbit
-    # a6 -> a6 + (t^2 + a3 t) collapsed to coset representatives
-    rep_a3, rep_a4, rep_a6, rep_N = [], [], [], []
-    a4g = np.repeat(np.arange(q, dtype=np.int64), q)
-    a6g = np.tile(np.arange(q, dtype=np.int64), q)
-    X = T["X"][None, :]
-    for a3 in range(1, q):
-        C = T["X3"][None, :] ^ T["MUL"][a4g[:, None], X] ^ a6g[:, None]
-        Nb = 1 + 2 * T["IMT"][a3][C].sum(axis=1)
-        a6rep = T["REPT"][a3][a6g]
-        if not np.array_equal(Nb, Nb[a4g * q + a6rep]):
-            raise RuntimeError("vertical shift changed a point count")
-        keep = a6g == a6rep
-        rep_a3.append(np.full(int(keep.sum()), a3, dtype=np.int64))
-        rep_a4.append(a4g[keep])
-        rep_a6.append(a6g[keep])
-        rep_N.append(Nb[keep])
-    a3r = np.concatenate(rep_a3)
-    a4r = np.concatenate(rep_a4)
-    a6r = np.concatenate(rep_a6)
-    N = np.concatenate(rep_N)
-
-    def make_args_B(sel):
-        a3c = sel[0][:, None]
-        return (_badd_c2B, (T, a3c, T["INV"][a3c], sel[1][:, None]))
-
-    _forced_or_resolve(field, (a3r, a4r, a6r), N,
-                       lambda sel: _pts_c2B(T, sel[0], sel[1], sel[2]),
-                       make_args_B, shapes)
-    return shapes
-
-
-def _charneq2_shapes(field):
-    T = _tables(field)
-    q, p = field.q, field.p
-    MUL, ADD, NEG = T["MUL"], T["ADD"], T["NEG"]
-    e4, e8, e9, e27 = (field.emb(4), field.emb(8), field.emb(9), field.emb(27))
-
-    if p == 3:
-        a2r = np.repeat(np.arange(q, dtype=np.int64), q * q)
-        a4r = np.tile(np.repeat(np.arange(q, dtype=np.int64), q), q)
-        a6r = np.tile(np.arange(q, dtype=np.int64), q * q)
+    if field.p == 3:
+        parts = [(_coset_reps(T, 2), [0], X), ([0], _coset_reps(T, 4), X)]
     else:
-        a2r = np.zeros(q * q, dtype=np.int64)
-        a4r = np.repeat(np.arange(q, dtype=np.int64), q)
-        a6r = np.tile(np.arange(q, dtype=np.int64), q)
+        parts = [([0], _coset_reps(T, 4), X), ([0], [0], _coset_reps(T, 6))]
+    a2r, a4r, a6r = (np.concatenate(c) for c in zip(*(_grid(*part) for part in parts)))
 
     # discriminant with a1 = a3 = 0: b2 = 4 a2, b4 = 2 a4, b6 = 4 a6,
     # b8 = 4 a2 a6 - a4^2
+    ADD, NEG = T["ADD"], T["NEG"]
+    e4, e8, e9, e27 = (field.emb(4), field.emb(8), field.emb(9), field.emb(27))
     b2 = MUL[e4, a2r]
     b4 = MUL[T["e2"], a4r]
     b6 = MUL[e4, a6r]
@@ -813,31 +778,29 @@ def _charneq2_shapes(field):
     disc = ADD[ADD[NEG[MUL[MUL[b2, b2], b8]], NEG[MUL[e8, MUL[MUL[b4, b4], b4]]]],
                ADD[NEG[MUL[e27, MUL[b6, b6]]], MUL[e9, MUL[MUL[b2, b4], b6]]]]
     good = disc != 0
-    a2r, a4r, a6r = a2r[good], a4r[good], a6r[good]
-
-    shapes = set()
-    CHUNK = max(1, (1 << 21) // q)
-    Nparts = []
-    for lo in range(0, a2r.shape[0], CHUNK):
-        X = T["X"][None, :]
-        t = ADD[X, a2r[lo:lo + CHUNK, None]]
-        t = ADD[MUL[t, X], a4r[lo:lo + CHUNK, None]]
-        C = ADD[MUL[t, X], a6r[lo:lo + CHUNK, None]]
-        Nparts.append(q + 1 + T["CHI"][C].sum(axis=1))
-    N = np.concatenate(Nparts)
-
-    _forced_or_resolve(field, (a2r, a4r, a6r), N,
-                       lambda sel: _pts_odd(T, sel[0], sel[1], sel[2]),
-                       lambda sel: (_badd_odd, (T, sel[0][:, None], sel[1][:, None])),
-                       shapes)
-    return shapes
+    return [((a2r[good], a4r[good], a6r[good]),
+             lambda sel: _pts_odd(T, *sel),
+             lambda sel: (_badd_odd, (T, sel[0][:, None], sel[1][:, None])))]
 
 
 def realized_shapes(q, bound=None):
     """Set of group shapes attained by curves over the q-element field.
 
-    Every curve in the reduced families is enumerated and its structure
-    resolved by exhaustion; the result is the ground-truth atlas entry
+    The shape is an isomorphism invariant, so only the Weierstrass normal
+    forms below are resolved by exhaustion; each holds every isomorphism
+    class, by the substitution named. R_d is the least element of each
+    coset of the d-th powers in the unit group.
+
+    - p > 3: y^2 = x^3 + r x + a6 (r in R_4) and y^2 = x^3 + b (b in R_6);
+      (x, y) -> (u^2 x, u^3 y) scales a2, a4, a6 by u^2, u^4, u^6.
+    - p = 3: y^2 = x^3 + a2 x^2 + a6 (a2 in R_2) and y^2 = x^3 + a4 x + a6
+      (a4 in R_4); x -> x + a4/a2 clears a4 when a2 != 0, then scale.
+    - p = 2: y^2 + xy = x^3 + a2 x^2 + a6 (a2 in {0, delta}, a6 != 0) and
+      y^2 + a3 y = x^3 + a4 x + a6 (a3 in R_3, a6 in {0, a3^2 delta}), with
+      delta the least element not of the form w^2 + w; y -> y + s x adds
+      s^2 + s to a2, y -> y + t adds t^2 + a3 t to a6, then scale.
+
+    Singular forms are dropped. The result is the ground-truth atlas entry
     for q. Raises BoundError beyond the configured oracle bound.
     """
     if bound is None:
@@ -851,11 +814,12 @@ def realized_shapes(q, bound=None):
         raise ValueError("%d is not a prime power" % q)
     if q > bound:
         raise BoundError("q=%d exceeds the oracle bound %d" % (q, bound))
-    p, m = decomp
-    field = build_field(p, m)
-    if p == 2:
-        return _char2_shapes(field)
-    return _charneq2_shapes(field)
+    field = build_field(*decomp)
+    shapes = set()
+    for rows, make_pts, make_add_args in _families(field):
+        N = 1 + make_pts(rows)[2].sum(axis=1)
+        _forced_or_resolve(field, rows, N, make_pts, make_add_args, shapes)
+    return shapes
 
 
 def predicted_shapes(q):

@@ -12,6 +12,7 @@ by bounded scans.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 from dataclasses import dataclass
@@ -90,18 +91,15 @@ def _scan_degree_one(k, T, require_realizable):
     return out
 
 
-def _prime_power_hits(m, k, q_max):
-    """(n, p, ell) with p^m = k n^2 + ell n + 1, p prime, p^m <= q_max, ell^2 <= 4k.
+def _prime_power_hits(m, k, primes):
+    """(n, p, ell) with p^m = k n^2 + ell n + 1, p in primes, ell^2 <= 4k.
 
-    Inverted by n: (q - 1)/k = n^2 + ell n / k and |ell| <= 2 sqrt(k) give
-    (n - 2)^2 <= (q - 1)/k < (n + 1)^2 for n >= 2, so c <= n <= c + 2 for
-    c = isqrt((q - 1) // k). Per p they come in descending n, which is
-    ascending ell.
+    primes is ascending. Inverted by n: (q - 1)/k = n^2 + ell n / k and
+    |ell| <= 2 sqrt(k) give (n - 2)^2 <= (q - 1)/k < (n + 1)^2 for n >= 2,
+    so c <= n <= c + 2 for c = isqrt((q - 1) // k). Per p they come in
+    descending n, which is ascending ell.
     """
-    pmax = arith.iroot(q_max, m)
-    if pmax < 2:
-        return
-    for p in arith.primes_in_range(2, pmax).tolist():
+    for p in primes:
         q1 = p ** m - 1
         c = arith.isqrt(q1 // k)
         for n in range(c + 2, max(c - 1, 0), -1):
@@ -117,8 +115,10 @@ def _n_set(m, k, T, require_realizable):
     vmax = arith.candidate_bound(T, k)
     if m == 1:
         return _scan_degree_one(k, T, require_realizable)
+    # max(2, ...) may add p = 2 beyond the m-th root of vmax; its hits have n > T
+    primes = arith.primes_in_range(2, max(2, arith.iroot(vmax, m))).tolist()
     out = set()
-    for n, p, _ in _prime_power_hits(m, k, vmax):
+    for n, p, _ in _prime_power_hits(m, k, primes):
         if n > T:
             continue
         if require_realizable:
@@ -205,9 +205,12 @@ def high_degree_search(k, m_max=DEFAULT_DEGREE_MAX, q_max=DEFAULT_Q_MAX):
         raise ValueError("q_max admits no cube")
     if q_max > arith.LIMIT:
         raise OverflowError("q_max exceeds the supported range")
+    # one sieve up to the cube root; degree m takes the prefix up to its m-th root
+    primes = arith.primes_in_range(2, arith.iroot(q_max, 3)).tolist()
     found = []
     for m in range(3, m_max + 1):
-        for n, p, ell in _prime_power_hits(m, k, q_max):
+        prefix = primes[:bisect.bisect_right(primes, arith.iroot(q_max, m))]
+        for n, p, ell in _prime_power_hits(m, k, prefix):
             if shape_realizable_over(p ** m, GroupShape(n, k), _decomp=(p, m)) is not None:
                 found.append(HighDegreeWitness(n, p, m, ell))
     found.sort(key=lambda e: (e.n, e.m, e.p, e.ell))

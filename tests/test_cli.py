@@ -3,6 +3,7 @@
 import json
 import os
 import pathlib
+import resource
 import subprocess
 import sys
 
@@ -235,6 +236,20 @@ def test_exit_codes(capsys):
     capsys.readouterr()
 
 
+def test_grid_respects_address_space_limit():
+    # 3.2 GB of tables: above a 3 GB RLIMIT_AS, below most physical memories
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (3 * 10 ** 9, resource.RLIM_INFINITY))
+
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-m", "ecgroups.cli", "grid",
+                           "--nmax", "40000", "--kmax", "40000"],
+                          env=env, preexec_fn=cap, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 3, proc.stderr
+
+
 def test_benchmark_tracer_hooks():
     # the benchmark's tracer rebinds package attributes by name, so a rename
     # it depends on fails here instead of only in a traced benchmark run
@@ -245,7 +260,8 @@ def test_benchmark_tracer_hooks():
             "from ecgroups import cli\n"
             "tracer.install(tracer.Tracer())\n"
             "for argv in (['missed', '--nmax', '12', '--kmax', '12'], ['check', '12', '5'],\n"
-            "             ['kk', '--k', '5'], ['constants', '--euler-product-bound', '1000']):\n"
+            "             ['kk', '--k', '5'], ['constants', '--euler-product-bound', '1000'],\n"
+            "             ['oracle', '--qmax', '9']):\n"
             "    rc = cli.main(argv)\n"
             "    if rc:\n"
             "        sys.exit('%s exited %d' % (argv, rc))\n")

@@ -6,6 +6,7 @@ import pytest
 
 from ecgroups import arith
 from ecgroups.curve_oracle import (
+    MAX_ORACLE_BOUND,
     BoundError,
     CurveModel,
     FiniteField,
@@ -16,9 +17,12 @@ from ecgroups.curve_oracle import (
     on_curve,
     predicted_shapes,
     realized_shapes,
+    _coset_reps,
+    _families,
     _point_add,
     _points,
     _scalar_mul,
+    _tables,
 )
 from ecgroups.realizability import GroupShape
 
@@ -278,17 +282,53 @@ def test_realized_shapes_q4_forced_structure():
 
 
 def test_realized_matches_predicted_small_fields():
-    for q in [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27]:
-        assert realized_shapes(q) == predicted_shapes(q), q
+    # every prime power up to the largest oracle bound
+    for q in range(2, MAX_ORACLE_BOUND + 1):
+        if arith.prime_power_decompose(q) is not None:
+            assert realized_shapes(q, bound=MAX_ORACLE_BOUND) == predicted_shapes(q), q
 
 
 def test_realized_matches_scalar_brute_force():
-    # the vectorized atlas against the one-point-at-a-time scalar path
-    for q in [2, 3, 4, 5, 7, 8, 9]:
+    # the vectorized atlas walks normal forms, the scalar path every curve:
+    # 13 has four cosets of fourth powers and 11 two, 16 has three cosets
+    # of cubes and 32 one, and 9, 25 and 27 have characteristic 3
+    for q in [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32]:
         p, m = arith.prime_power_decompose(q)
         F = build_field(p, m)
         brute = {group_structure(c).shape for c in enumerate_curves(F)}
         assert realized_shapes(q) == brute, q
+
+
+def test_normal_form_lane_points_match_scalar_points():
+    # each lane listing of a normal-form row is the scalar point set of that curve
+    for p, m in [(2, 2), (2, 3), (2, 4), (3, 2), (13, 1)]:
+        F = build_field(p, m)
+        for rows, make_pts, _ in _families(F):
+            x, y, f = make_pts(rows)
+            for i, coeffs in enumerate(zip(*(r.tolist() for r in rows))):
+                if len(coeffs) == 2:
+                    a = (1, coeffs[0], 0, 0, coeffs[1])
+                elif p == 2:
+                    a = (0, 0) + coeffs
+                else:
+                    a = (0, coeffs[0], 0, coeffs[1], coeffs[2])
+                lanes = sorted(zip(x[i][f[i]].tolist(), y[i][f[i]].tolist()))
+                assert lanes == sorted(_points(CurveModel(F, *a))), (F.q, a)
+
+
+def test_coset_reps_partition_units():
+    for q in range(2, 33):
+        decomp = arith.prime_power_decompose(q)
+        if decomp is None:
+            continue
+        F = build_field(*decomp)
+        for d in (2, 3, 4, 6):
+            reps = _coset_reps(_tables(F), d).tolist()
+            assert len(reps) == math.gcd(d, q - 1), (q, d)
+            powers = {F.pow(u, d) for u in range(1, q)}
+            cosets = [{F.mul(r, w) for w in powers} for r in reps]
+            assert sorted(x for c in cosets for x in c) == list(range(1, q)), (q, d)
+            assert all(r == min(c) for r, c in zip(reps, cosets)), (q, d)
 
 
 def test_prime_field_window_is_full():

@@ -139,8 +139,23 @@ def test_prime_power_hits_match_ell_scan():
     # the frozen tables stop at k = 5; this covers every cofactor up to 40
     for k in range(1, 41):
         for m in range(2, 12):
-            got = list(ss._prime_power_hits(m, k, 10 ** 10))
+            primes = arith.primes_in_range(2, arith.iroot(10 ** 10, m)).tolist()
+            got = list(ss._prime_power_hits(m, k, primes))
             assert got == _reference_hits(m, k, 10 ** 10), (m, k)
+
+
+def test_high_degree_search_sieves_once(monkeypatch):
+    calls = []
+    sieve = arith.primes_in_range
+
+    def counted(lo, hi, *rest):
+        calls.append((lo, hi))
+        return sieve(lo, hi, *rest)
+
+    monkeypatch.setattr(arith, "primes_in_range", counted)
+    found = ss.high_degree_search(5, m_max=40, q_max=10 ** 12)
+    assert calls == [(2, 10 ** 4)]
+    assert [(e.n, e.p, e.m, e.ell) for e in found] == HIGH_DEGREE_ENTRIES[5]
 
 
 def test_degree_two_classify_frozen():
