@@ -3,8 +3,12 @@
 Primality here is deterministic: below 2^63 the Miller-Rabin witness tiers
 used are known-exhaustive, so a composite never slips through.  That matters
 because a single misclassified candidate flips a set membership downstream.
-All values are plain Python ints (exact); range limits are enforced explicitly
-so callers get an OverflowError instead of silently huge computations.
+`is_prime_batch` runs the same tiers over a numpy int64 array at once, with
+bases 2, 3, 5, 7, 11, 13, 17, which are exhaustive below BATCH_BOUND =
+341,550,071,728,321 (OEIS A014233); values at or above it take the scalar
+test.  Scalar values are plain Python ints (exact); range limits are
+enforced explicitly so callers get an OverflowError instead of silently huge
+computations.
 """
 
 from __future__ import annotations
@@ -64,6 +68,79 @@ def is_prime(x: int) -> bool:
         else:
             return False
     return True
+
+
+# the bound of the last tier before the 2^64 one in _MR_TIERS; inputs below it
+# are also below 2^50, where _sqmod's float quotient is exact
+BATCH_BOUND = _MR_TIERS[3][0]
+
+
+def _sqmod(y, m, c=1):
+    """y^2 c mod m elementwise for int64 arrays, 0 <= y < m < 2^50, c <= 17.
+
+    The float64 quotient of y^2 by m is off by at most one, so y^2 - q m,
+    taken from the wrapped low 64 bits, lies in (-m, 2m) and is exact; times
+    c it stays below 2^56, and one floor remainder brings it into [0, m).
+    """
+    q = (y.astype(np.float64) * y / m).astype(np.int64)
+    return np.remainder((y * y - q * m) * c, m)
+
+
+def _sprp(v, d, s, a):
+    """Strong probable-prime test to base a, elementwise: v - 1 = d 2^s, d odd."""
+    y = np.ones_like(v)
+    for bit in range(int(d.max()).bit_length() - 1, -1, -1):
+        y = _sqmod(y, v, 1 + (a - 1) * ((d >> bit) & 1))
+    minus = v - 1
+    ok = (y == 1) | (y == minus)
+    for i in range(1, int(s.max())):
+        live = np.flatnonzero(~ok & (s > i))
+        if live.size == 0:
+            break
+        y[live] = _sqmod(y[live], v[live])
+        ok[live] = y[live] == minus[live]
+    return ok
+
+
+def is_prime_batch(values) -> np.ndarray:
+    """is_prime over an array of 0 <= values < 2^63, as a bool array.
+
+    Trial division by the primes up to 61, then the strong probable-prime
+    tests of _MR_TIERS in numpy, bases 2, 3, 5, 7, 11, 13, 17 in turn, each
+    run on the values that passed the ones before; a value is settled prime
+    once its tier's bases are passed.  Those bases are exhaustive below
+    BATCH_BOUND = 341,550,071,728,321 (OEIS A014233); values at or above it
+    go to the scalar is_prime.
+    """
+    v = np.asarray(values, dtype=np.int64)
+    out = np.zeros(v.shape, dtype=bool)
+    flat, vals = out.reshape(-1), v.reshape(-1)
+    wide = vals >= BATCH_BOUND
+    for i in np.flatnonzero(wide).tolist():
+        flat[i] = is_prime(int(vals[i]))
+    small = vals <= _SMALL_PRIMES[-1]
+    flat[small] = np.isin(vals[small], _SMALL_PRIMES)
+    keep = ~(small | wide)
+    rem = np.empty_like(vals)
+    for p in _SMALL_PRIMES:
+        keep &= np.remainder(vals, p, out=rem) != 0
+    idx = np.flatnonzero(keep)
+    w = vals[idx]
+    low = (w - 1) & (1 - w)
+    d = (w - 1) // low
+    s = np.log2(low).astype(np.int64)
+    done = 0
+    for bound, bases in _MR_TIERS[:4]:
+        for a in bases[done:]:
+            if w.size:
+                passed = _sprp(w, d, s, a)
+                idx, w, d, s = idx[passed], w[passed], d[passed], s[passed]
+        done = len(bases)
+        settled = w < bound
+        flat[idx[settled]] = True
+        open_ = ~settled
+        idx, w, d, s = idx[open_], w[open_], d[open_], s[open_]
+    return out
 
 
 def isqrt(x: int) -> int:

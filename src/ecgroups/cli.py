@@ -4,7 +4,8 @@ Every subcommand prints one machine-readable payload: JSON by default,
 CSV with --format csv (headerless unless --header). List-like results
 have a natural CSV row shape; object-like results flatten to key,value
 rows. Exit codes: 0 for computed answers including negative membership,
-2 for usage errors, 3 for overflow or bound violations.
+1 when a survey's worker process died, 2 for usage errors, 3 for overflow
+or bound violations.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from concurrent.futures import BrokenExecutor
 
 from . import counting, curve_oracle, heuristics, special_sets
 from .curve_oracle import BoundError
@@ -20,6 +22,7 @@ from .realizability import (GroupShape, smallest_prime_power_witness,
                             witness_primes)
 
 EXIT_OK = 0
+EXIT_WORKER = 1
 EXIT_USAGE = 2
 EXIT_BOUND = 3
 
@@ -391,6 +394,9 @@ def main(argv=None):
     except (OverflowError, BoundError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_BOUND
+    except BrokenExecutor as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_WORKER
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

@@ -2,26 +2,38 @@
 
 Counts members of the prime-witness and prime-power-witness sets on
 [1, N] x [1, K], lists the missed pairs, builds the f(D) series, and
-evaluates the witness-prime double sum two independent ways: a per-pair
-scan and a progression-count identity. The two must agree exactly; the
-scan is the oracle for the sieve on small rectangles.
+evaluates the witness-prime double sum two independent ways: a direct
+primality test of every candidate and a progression-count identity. The
+two must agree exactly.
 
-The bulk path works one n-row at a time. Candidates for row n live in
-the arithmetic progression v = s n + 1, so one boolean sieve over s
-serves every k at once; window membership per k is then a gather plus a
-segmented reduction. Prime-power witnesses (q = p^j, j >= 2) are sparse
-and are merged in from a single global pass.
+The bulk path decides rows n, each cell (n, k) by whether its window
+v = k n^2 + l n + 1, l^2 <= 4k, holds a prime, in one of two ways:
+
+- the row sieve: the candidates of row n live in the progression
+  v = s n + 1, so one boolean sieve over s serves every k at once, and
+  window membership per k is a segmented OR over the sieve;
+- the cell kernel: each undecided cell tests its next few offsets l in
+  ascending order with the batched primality test and drops out at its
+  first prime, a block of rows at a time.
+
+A cost model in (n, K) alone picks the cheaper way per row: the sieve
+clears K n bytes, so it wins on short rows of wide rectangles, and the
+kernel wins once n is large against sqrt(K). Prime-power witnesses
+(q = p^j, j >= 2) are sparse and are merged in from a single global pass
+over the divisors n of q - 1.
 """
 
 from __future__ import annotations
 
+import collections
+import concurrent.futures
 import json
 import math
+import multiprocessing
 import os
 import resource
 import time
 from dataclasses import dataclass
-from multiprocessing import Pool
 
 import numpy as np
 
@@ -68,15 +80,14 @@ class SeriesPoint:
 # ---------------------------------------------------------------------------
 
 class _SieveContext:
-    """Shared precomputation for one rectangle: window geometry and primes.
+    """Shared precomputation for one rectangle: window widths and primes.
 
     For row n the candidate v = k n^2 + l n + 1 is v = s n + 1 with
     s = k n + l, so the per-k windows are s in [k n - w_k, k n + w_k],
-    w_k = isqrt(4k). The flattened offsets l and their segment starts are
-    n-independent and shared by every row.
+    w_k = isqrt(4k). The widths are n-independent and shared by every row.
     """
 
-    __slots__ = ("N", "K", "L", "vmax", "base", "OFF", "KCELL", "STARTS")
+    __slots__ = ("N", "K", "L", "vmax", "base", "W")
 
     def __init__(self, N, K):
         self.N = N
@@ -84,29 +95,51 @@ class _SieveContext:
         self.L = arith.isqrt(4 * K)
         self.vmax = arith.candidate_bound(N, K)
         self.base = arith.primes_in_range(2, max(2, arith.isqrt(self.vmax)))
-        widths = np.array([arith.isqrt(4 * k) for k in range(1, K + 1)], dtype=np.int64)
-        lens = 2 * widths + 1
-        starts = np.zeros(K, dtype=np.int64)
-        np.cumsum(lens[:-1], out=starts[1:])
-        total = int(lens.sum())
-        off = np.empty(total, dtype=np.int64)
-        for i in range(K):
-            off[starts[i]:starts[i] + lens[i]] = np.arange(-widths[i], widths[i] + 1)
-        self.OFF = off
-        self.KCELL = np.repeat(np.arange(1, K + 1, dtype=np.int64), lens)
-        self.STARTS = starts
+        self.W = np.array([arith.isqrt(4 * k) for k in range(1, K + 1)], dtype=np.int64)
+
+
+# Per-row cost model in seconds, least-squares fitted to 62 (n, K) timings on a
+# 2-core x86-64 host (K from 1 to 37550, n from 1 to 10^4). With x = n sqrt(K)
+# the largest base prime, the sieve makes about K n ln ln x strided byte
+# writes and loops over the x / ln x base primes; the kernel spends a fixed
+# cost per cell plus about ln(K n^2) candidate tests.
+_SIEVE_S_PER_WRITE = 2.3e-9
+_SIEVE_S_PER_PRIME = 1.5e-6
+_SIEVE_S_PER_ROW = 3.9e-5
+_KERNEL_S_PER_CELL = 2.4e-6
+_KERNEL_S_PER_TEST = 1.5e-7
+
+
+def _kernel_cheaper(n, K):
+    """Whether the cell kernel is expected to beat the row sieve on row n."""
+    x = n * math.sqrt(K)
+    sieve = (_SIEVE_S_PER_WRITE * K * n * math.log(math.log(x + 3) + 1)
+             + _SIEVE_S_PER_PRIME * x / math.log(x + 2) + _SIEVE_S_PER_ROW)
+    kernel = K * (_KERNEL_S_PER_CELL + _KERNEL_S_PER_TEST * math.log(K * n * n + 2))
+    return kernel < sieve
 
 
 def _sieve_row(ctx, n):
     """Membership of (n, k) in the prime-witness set for every k <= K.
 
-    Sieves primality of v = s n + 1 over the whole s-range by clearing the
-    residue class s = -1/n mod r for each base prime r, keeping r itself
-    when it happens to be a candidate.
+    Runs the row sieve or the cell kernel, whichever the cost model
+    expects to be cheaper for (n, K).
+    """
+    if _kernel_cheaper(n, ctx.K):
+        return _row_kernel(ctx, [n])[0]
+    return _row_sieve(ctx, n)
+
+
+def _row_sieve(ctx, n):
+    """Row n by sieving primality of v = s n + 1 over the whole s-range.
+
+    Clears the residue class s = -1/n mod r for each base prime r, keeping
+    r itself when it happens to be a candidate.
     """
     K, L = ctx.K, ctx.L
     smax = K * n + L
-    A = np.ones(smax + 1, dtype=bool)
+    # one spare entry past smax: the last window's end bound indexes it
+    A = np.ones(smax + 2, dtype=bool)
     A[0] = False
     rmax = arith.isqrt(smax * n + 1)
     cut = int(np.searchsorted(ctx.base, rmax, side="right"))
@@ -118,46 +151,150 @@ def _sieve_row(ctx, n):
             s0 += r
         if s0 <= smax:
             A[s0::r] = False
-    vals = A[np.clip(ctx.KCELL * n + ctx.OFF, 0, smax)]
+    # windows [k n - w_k, k n + w_k] as reduceat segments at the even bounds;
+    # s = -1 (v = 0, at n = k = 1) is clipped away
+    centre = np.arange(1, K + 1, dtype=np.int64) * n
+    bounds = np.empty(2 * K, dtype=np.int64)
+    bounds[0::2] = np.maximum(centre - ctx.W, 0)
+    bounds[1::2] = centre + ctx.W + 1
     row = np.zeros(K + 1, dtype=bool)
-    row[1:] = np.add.reduceat(vals.astype(np.int64), ctx.STARTS) > 0
+    row[1:] = np.logical_or.reduceat(A, bounds)[0::2]
     return row
+
+
+_KERNEL_STEP = 8
+
+
+def _row_kernel(ctx, ns):
+    """Rows ns, shape (len(ns), K + 1), each cell certified by its first prime.
+
+    Every undecided cell (n, k) tests its next _KERNEL_STEP offsets l of the
+    window l^2 <= 4k in ascending order with one batched primality test, and
+    drops out at its first prime or once its window is used up.
+    """
+    K = ctx.K
+    ns = np.asarray(ns, dtype=np.int64)
+    n = np.repeat(ns, K)
+    kn = np.tile(np.arange(1, K + 1, dtype=np.int64), ns.size) * n
+    w = np.tile(ctx.W, ns.size)
+    ell = -w
+    hit = np.zeros(n.size, dtype=bool)
+    live = np.arange(n.size)
+    step = np.arange(_KERNEL_STEP, dtype=np.int64)
+    while live.size:
+        v = ell[live, None] + step
+        past = v > w[live, None]
+        v += kn[live, None]
+        v *= n[live, None]
+        v += 1
+        v[past] = 0
+        found = arith.is_prime_batch(v).any(axis=1)
+        hit[live[found]] = True
+        ell[live] += _KERNEL_STEP
+        live = live[~found & (ell[live] <= w[live])]
+    rows = np.zeros((ns.size, K + 1), dtype=bool)
+    rows[:, 1:] = hit.reshape(ns.size, K)
+    return rows
+
+
+def _smallest_factors(limit):
+    """spf[x] = the smallest prime factor of x for 2 <= x <= limit."""
+    spf = np.zeros(limit + 1, dtype=np.int32)
+    for p in arith.primes_in_range(2, max(2, arith.isqrt(limit))).tolist():
+        sub = spf[p * p::p]
+        sub[sub == 0] = p
+    rest = np.flatnonzero(spf == 0)
+    spf[rest] = rest
+    return spf
+
+
+def _spf_factor(spf, x, out):
+    """Add the factorization of 1 <= x <= len(spf) - 1 into the dict out."""
+    while x > 1:
+        p = spf[x]
+        x //= p
+        out[p] = out.get(p, 0) + 1
+    return out
+
+
+def _divisors_upto(fac, limit):
+    """The divisors of prod p^e over fac that are at most limit, unordered."""
+    ds = [1]
+    for p, e in fac.items():
+        grown = []
+        for d in ds:
+            for _ in range(e):
+                d *= p
+                if d > limit:
+                    break
+                grown.append(d)
+        ds += grown
+    return ds
 
 
 def _prime_power_marks(N, K):
     """All (n, k) in the rectangle witnessed by a proper prime power.
 
-    Enumerates q = p^j with j >= 2 up to the largest candidate, finds the
-    rows n dividing q - 1, and checks the few k whose window can contain
-    q through the full realizability predicate.
+    Enumerates q = p^j with j >= 2 up to the largest candidate, factors
+    q - 1 (for j = 2 as (p - 1)(p + 1) through a smallest-prime-factor
+    table), and for each divisor n <= N of q - 1 checks the few k whose
+    window can contain q through the full realizability predicate.
     """
     vmax = arith.candidate_bound(N, K)
     L = arith.isqrt(4 * K)
-    pps = []
-    for p in arith.primes_in_range(2, max(2, arith.isqrt(vmax))).tolist():
+    root = arith.isqrt(vmax)
+    spf = memoryview(_smallest_factors(root + 1))
+    marks = {}
+    for p in arith.primes_in_range(2, max(2, root)).tolist():
         q, j = p * p, 2
         while q <= vmax:
-            pps.append((q, p, j))
+            if j == 2:
+                fac = _spf_factor(spf, p + 1, _spf_factor(spf, p - 1, {}))
+            else:
+                fac = arith.factorize(q - 1)
+            # a window holds q only if k n^2 - 2 sqrt(k) n <= q - 1 <= K n^2 + L n
+            # for some k <= K, which needs n <= 1 + sqrt(q) and the right side
+            for n in _divisors_upto(fac, min(N, arith.isqrt(q) + 1)):
+                if K * n * n + L * n < q - 1:
+                    continue
+                s = (q - 1) // n
+                for k in range(max(1, (s - L) // n - 1), min(K, (s + L) // n + 1) + 1):
+                    ell = s - k * n
+                    if ell * ell <= 4 * k:
+                        if shape_realizable_over(q, GroupShape(n, k), _decomp=(p, j)) is not None:
+                            marks.setdefault(n, set()).add(k)
             q *= p
             j += 1
-    marks = {}
-    if not pps:
-        return marks
-    nvec = np.arange(1, N + 1, dtype=np.int64)
-    Q = np.array([e[0] for e in pps], dtype=np.int64)
-    for lo in range(0, len(pps), 2048):
-        block = Q[lo:lo + 2048]
-        qi, ni = np.nonzero((block[:, None] - 1) % nvec[None, :] == 0)
-        for i, j_ in zip(qi.tolist(), ni.tolist()):
-            q, p, j = pps[lo + i]
-            n = j_ + 1
-            s = (q - 1) // n
-            for k in range(max(1, (s - L) // n - 1), min(K, (s + L) // n + 1) + 1):
-                ell = s - k * n
-                if ell * ell <= 4 * k:
-                    if shape_realizable_over(q, GroupShape(n, k), _decomp=(p, j)) is not None:
-                        marks.setdefault(n, set()).add(k)
     return marks
+
+
+# Rows are solved in blocks of about this many cells: enough to amortize the
+# kernel's per-round numpy calls when a row holds only a few cells, few
+# enough that a round's arrays stay near 10 MB.
+_BLOCK_CELLS = 1 << 15
+
+
+def _row_blocks(K, ns):
+    """Split the rows ns into runs of consecutive rows that take the same
+    path, each at most max(1, _BLOCK_CELLS // K) rows long."""
+    per = max(1, _BLOCK_CELLS // K)
+    block, kernel = [], None
+    for n in ns:
+        pick = _kernel_cheaper(n, K)
+        if block and (pick != kernel or len(block) == per):
+            yield block, kernel
+            block = []
+        block.append(n)
+        kernel = pick
+    if block:
+        yield block, kernel
+
+
+def _rows_block(ctx, ns, kernel):
+    """Membership rows of one block, shape (len(ns), K + 1)."""
+    if kernel:
+        return _row_kernel(ctx, ns)
+    return np.array([_sieve_row(ctx, n) for n in ns])
 
 
 _POOL_CTX = None
@@ -168,34 +305,50 @@ def _pool_init(ctx):
     _POOL_CTX = ctx
 
 
-def _pool_row(n):
-    return np.packbits(_sieve_row(_POOL_CTX, n))
+def _pool_block(ns, kernel):
+    return np.packbits(_rows_block(_POOL_CTX, ns, kernel), axis=1)
 
 
 def _member_rows(N, K, workers=1, start_n=1):
     """Yield (n, prime_row, prime_power_row) in row order.
 
-    Rows are boolean arrays indexed by k with entry 0 unused. The merge
-    is by row index, so the stream is identical for any worker count.
+    Rows are boolean arrays indexed by k with entry 0 unused. Blocks of
+    rows go to the workers and are merged back in row order, so the
+    stream is identical for any worker count. A worker that dies raises
+    BrokenProcessPool here.
     """
     ctx = _SieveContext(N, K)
     marks = _prime_power_marks(N, K)
-    ns = range(start_n, N + 1)
+    blocks = _row_blocks(K, range(start_n, N + 1))
 
-    def finish(n, spi):
-        spp = spi.copy()
-        for k in marks.get(n, ()):
-            spp[k] = True
-        return n, spi, spp
+    def finish(ns, rows):
+        for n, spi in zip(ns, rows):
+            spp = spi.copy()
+            for k in marks.get(n, ()):
+                spp[k] = True
+            yield n, spi, spp
 
     if workers == 1:
-        for n in ns:
-            yield finish(n, _sieve_row(ctx, n))
-    else:
-        with Pool(workers, initializer=_pool_init, initargs=(ctx,)) as pool:
-            for n, packed in zip(ns, pool.imap(_pool_row, ns, chunksize=8)):
-                spi = np.unpackbits(packed, count=K + 1).astype(bool)
-                yield finish(n, spi)
+        for ns, kernel in blocks:
+            yield from finish(ns, _rows_block(ctx, ns, kernel))
+        return
+    # the process-pool module loads on this first use, not with the package
+    with concurrent.futures.ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("spawn"),
+            initializer=_pool_init, initargs=(ctx,)) as pool:
+        pending = collections.deque()
+
+        def merge():
+            ns, future = pending.popleft()
+            packed = future.result()
+            return finish(ns, np.unpackbits(packed, axis=1, count=K + 1).astype(bool))
+
+        for ns, kernel in blocks:
+            pending.append((ns, pool.submit(_pool_block, ns, kernel)))
+            if len(pending) > 2 * workers:
+                yield from merge()
+        while pending:
+            yield from merge()
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,66 @@ def test_is_prime_range_guard():
         arith.is_prime(2 ** 63 + 1)
 
 
+# OEIS A014233: the least strong pseudoprimes to the first 1, 2, ..., 7 prime
+# bases; the last one is the batch test's bound itself
+A014233 = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+           341550071728321)
+CARMICHAEL = (561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341,
+              41041, 62745, 63973, 75361, 101101, 126217, 172081, 188461,
+              252601, 278545, 294409, 314821, 334153, 340561, 399001, 410041,
+              449065, 488881, 512461, 3215031751, 9999109081, 3825123056546413051,
+              # (6t + 1)(12t + 1)(18t + 1), no factor up to 61: the SPRP stage decides
+              56052361, 118901521, 216821881, 1299963601, 13079177569,
+              1042789205881, 1797002211241)
+
+
+def assert_batch_matches_scalar(values):
+    got = arith.is_prime_batch(np.array(values, dtype=np.int64))
+    assert got.tolist() == [arith.is_prime(int(v)) for v in values]
+
+
+def test_is_prime_batch_random_magnitudes():
+    rng = np.random.default_rng(20261018)
+    for lo, hi in ((0, 10 ** 3), (10 ** 9 - 10 ** 6, 10 ** 9),
+                   (10 ** 12, 5 * 10 ** 13),
+                   (arith.BATCH_BOUND - 10 ** 8, arith.BATCH_BOUND),
+                   (2 ** 50 - 10 ** 6, 2 ** 50 + 10 ** 6)):
+        assert_batch_matches_scalar(rng.integers(lo, hi, 4000, dtype=np.int64).tolist())
+
+
+def test_is_prime_batch_pseudoprimes_and_small_values():
+    assert_batch_matches_scalar(list(A014233) + list(CARMICHAEL))
+    assert not arith.is_prime_batch(np.array(A014233 + CARMICHAEL)).any()
+    assert_batch_matches_scalar(list(range(-5, 200)))
+    assert_batch_matches_scalar([p * q for p in (3, 5, 7, 61) for q in (67, 71, 2 ** 31 - 1)])
+
+
+def test_is_prime_batch_keeps_shape():
+    vals = np.arange(-3, 21, dtype=np.int64).reshape(4, 6)
+    got = arith.is_prime_batch(vals)
+    assert got.shape == (4, 6)
+    assert got.tolist() == [[arith.is_prime(int(v)) for v in row] for row in vals]
+    assert arith.is_prime_batch(np.empty((0, 8), dtype=np.int64)).shape == (0, 8)
+    with pytest.raises(OverflowError):
+        arith.is_prime_batch([2 ** 63 + 1])
+
+
+def test_is_prime_batch_scalar_fallback_at_bound(monkeypatch):
+    calls = []
+    scalar = arith.is_prime
+
+    def counted(x):
+        calls.append(x)
+        return scalar(x)
+
+    monkeypatch.setattr(arith, "is_prime", counted)
+    wide = [arith.BATCH_BOUND, arith.BATCH_BOUND + 2, 2 ** 61 - 1, 2 ** 62 - 1]
+    narrow = [arith.BATCH_BOUND - 1, arith.BATCH_BOUND - 2, 97, 1, 0]
+    got = arith.is_prime_batch(wide + narrow)
+    assert sorted(calls) == sorted(wide)
+    assert got.tolist() == [scalar(v) for v in wide + narrow]
+
+
 def test_isqrt():
     assert arith.isqrt(0) == 0
     assert arith.isqrt(15) == 3

@@ -4,6 +4,7 @@ import json
 import os
 import pathlib
 import resource
+import signal
 import subprocess
 import sys
 
@@ -287,6 +288,29 @@ def test_workers_identical(capsys):
     _, many = run(capsys, "missed", "--nmax", "30", "--kmax", "20",
                   "--workers", "3", "--format", "csv")
     assert one == many
+
+
+def dying_pool_block(ns, kernel):
+    # stands in for the pool's block function: every worker dies
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _alarm(signum, frame):
+    raise TimeoutError("the survey hung after its workers died")
+
+
+def test_dead_worker_exit_code(monkeypatch, capsys):
+    monkeypatch.setattr(counting, "_pool_block", dying_pool_block)
+    old = signal.signal(signal.SIGALRM, _alarm)
+    signal.alarm(60)
+    try:
+        code = cli.main(["missed", "--nmax", "12", "--kmax", "12", "--workers", "2"])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_WORKER == 1
+    assert captured.out == "" and captured.err.startswith("error: ")
 
 
 def test_plot_scripts(tmp_path, capsys):

@@ -7,6 +7,10 @@ rectangle. The two double-sum evaluations must agree exactly.
 
 import json
 import math
+import os
+import random
+import signal
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -28,6 +32,7 @@ from ecgroups.counting import (
 )
 from ecgroups.realizability import (
     GroupShape,
+    shape_realizable_over,
     smallest_prime_power_witness,
     smallest_prime_witness,
 )
@@ -143,6 +148,81 @@ def test_workers_bit_identical():
     a = membership_grid(35, 35, workers=1)
     b = membership_grid(35, 35, workers=4)
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+
+def test_kernel_matches_sieve_rows():
+    # the two row solvers side by side, on rows from both sides of the
+    # cost model's crossover: n < sqrt(K), n >> sqrt(K), K = 1 and row 1,
+    # whose cell (1, 1) holds v = 0 at l = -2
+    rng = random.Random(7)
+    rects = [(1, 1), (1, 40), (40, 1), (2000, 1), (3000, 4), (8000, 16),
+             (30, 2000), (5, 10000), (600, 1500)]
+    rects += [(rng.randint(1, 400), rng.randint(1, 400)) for _ in range(6)]
+    for N, K in rects:
+        ctx = counting._SieveContext(N, K)
+        ns = sorted({1, N, *rng.sample(range(1, N + 1), min(N, 12))})
+        sieve = np.array([counting._row_sieve(ctx, n) for n in ns])
+        assert np.array_equal(counting._row_kernel(ctx, ns), sieve), (N, K)
+        assert not sieve[:, 0].any()
+
+
+def _dense_prime_power_marks(N, K):
+    # the former implementation: every prime power against every n <= N
+    vmax = arith.candidate_bound(N, K)
+    L = arith.isqrt(4 * K)
+    pps = []
+    for p in arith.primes_in_range(2, max(2, arith.isqrt(vmax))).tolist():
+        q, j = p * p, 2
+        while q <= vmax:
+            pps.append((q, p, j))
+            q *= p
+            j += 1
+    marks = {}
+    nvec = np.arange(1, N + 1, dtype=np.int64)
+    Q = np.array([e[0] for e in pps], dtype=np.int64)
+    for lo in range(0, len(pps), 256):
+        qi, ni = np.nonzero((Q[lo:lo + 256, None] - 1) % nvec[None, :] == 0)
+        for i, j_ in zip(qi.tolist(), ni.tolist()):
+            q, p, j = pps[lo + i]
+            n = j_ + 1
+            s = (q - 1) // n
+            for k in range(max(1, (s - L) // n - 1), min(K, (s + L) // n + 1) + 1):
+                ell = s - k * n
+                if ell * ell <= 4 * k:
+                    if shape_realizable_over(q, GroupShape(n, k), _decomp=(p, j)) is not None:
+                        marks.setdefault(n, set()).add(k)
+    return marks
+
+
+def test_prime_power_marks_match_dense():
+    for N, K in ((1, 1), (60, 40), (300, 300), (8000, 16), (1500, 1500)):
+        assert counting._prime_power_marks(N, K) == _dense_prime_power_marks(N, K), (N, K)
+
+
+_REAL_POOL_BLOCK = counting._pool_block
+
+
+def dying_pool_block(ns, kernel):
+    # stands in for the pool's block function; its worker dies on row 7
+    if 7 in ns:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _REAL_POOL_BLOCK(ns, kernel)
+
+
+def _alarm(signum, frame):
+    raise TimeoutError("the survey hung after its worker died")
+
+
+def test_dead_worker_raises(monkeypatch):
+    monkeypatch.setattr(counting, "_pool_block", dying_pool_block)
+    old = signal.signal(signal.SIGALRM, _alarm)
+    signal.alarm(60)
+    try:
+        with pytest.raises(BrokenProcessPool):
+            survey(30, 20, workers=2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def test_workers_env_default(monkeypatch):
