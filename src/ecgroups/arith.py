@@ -3,12 +3,15 @@
 Primality here is deterministic: below 2^63 the Miller-Rabin witness tiers
 used are known-exhaustive, so a composite never slips through.  That matters
 because a single misclassified candidate flips a set membership downstream.
-`is_prime_batch` runs the same tiers over a numpy int64 array at once, with
-bases 2, 3, 5, 7, 11, 13, 17, which are exhaustive below BATCH_BOUND =
-341,550,071,728,321 (OEIS A014233); values at or above it take the scalar
-test.  Scalar values are plain Python ints (exact); range limits are
-enforced explicitly so callers get an OverflowError instead of silently huge
-computations.
+The tiers (_MR_TIERS) pair base sets with the least strong pseudoprime to
+all of them: the first 1, 2, 5, 6 or 7 prime bases (OEIS A014233), and
+(2, 7, 61) and (2, 13, 23, 1662803) (Jaeschke, Math. Comp. 61, 1993).  `is_prime_batch`
+runs the same tiers over a numpy int64 array in two stages, a base-2
+probable-prime stage and a certify stage, so that a caller that needs only
+some of the probable primes proven can certify just those; values at or
+above BATCH_BOUND = 341,550,071,728,321 take the scalar test.  Scalar values
+are plain Python ints (exact); range limits are enforced explicitly so
+callers get an OverflowError instead of silently huge computations.
 """
 
 from __future__ import annotations
@@ -21,12 +24,20 @@ LIMIT = 1 << 63
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
 
-# Verified deterministic witness tiers: each base list is exhaustive for
-# inputs below the paired bound.  The last tier covers everything below 2^64.
+# Deterministic Miller-Rabin witness tiers: a value below a tier's bound is
+# prime iff it is a strong probable prime to every base of the first tier whose
+# bound exceeds it.  Each bound below 2^64 is the least strong pseudoprime to
+# all of its tier's bases: (2), (2, 3), (2, 3, 5, 7, 11), (2, ..., 13) and
+# (2, ..., 17) from OEIS A014233, (2, 7, 61) and (2, 13, 23, 1662803) from
+# Jaeschke, Math. Comp. 61 (1993).  The last tier (Sinclair's bases) covers
+# everything below 2^64.
 _MR_TIERS = (
     (2047, (2,)),
     (1373653, (2, 3)),
-    (3215031751, (2, 3, 5, 7)),
+    (4759123141, (2, 7, 61)),
+    (1122004669633, (2, 13, 23, 1662803)),
+    (2152302898747, (2, 3, 5, 7, 11)),
+    (3474749660383, (2, 3, 5, 7, 11, 13)),
     (341550071728321, (2, 3, 5, 7, 11, 13, 17)),
     (1 << 64, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),
 )
@@ -72,75 +83,140 @@ def is_prime(x: int) -> bool:
 
 # the bound of the last tier before the 2^64 one in _MR_TIERS; inputs below it
 # are also below 2^50, where _sqmod's float quotient is exact
-BATCH_BOUND = _MR_TIERS[3][0]
+BATCH_BOUND = _MR_TIERS[-2][0]
+_TIER_BOUNDS = np.array([bound for bound, _ in _MR_TIERS[:-1]], dtype=np.int64)
+
+# Divisibility by an odd p without division (Granlund and Montgomery, PLDI
+# 1994): x is a multiple of p iff x p^-1 mod 2^64 <= (2^64 - 1) // p.
+_ODD_DIVISIBILITY = tuple((np.uint64(pow(p, -1, 1 << 64)), np.uint64(((1 << 64) - 1) // p))
+                          for p in _SMALL_PRIMES[1:])
 
 
-def _sqmod(y, m, c=1):
-    """y^2 c mod m elementwise for int64 arrays, 0 <= y < m < 2^50, c <= 17.
+def _sqmod(y, m, c=None):
+    """y^2 c mod m elementwise (c = 1 when None), for 0 <= y < m and c >= 1.
 
-    The float64 quotient of y^2 by m is off by at most one, so y^2 - q m,
-    taken from the wrapped low 64 bits, lies in (-m, 2m) and is exact; times
-    c it stays below 2^56, and one floor remainder brings it into [0, m).
+    For uint64 arrays (m < 2^32) y^2 is exact, and so is (y^2 mod m) c while
+    c < 2^32.  For int64 arrays (m < 2^50) the float64 quotient q of y^2 by m
+    is off by at most one, so y^2 - q m, taken from the wrapped low 64 bits,
+    lies in (-m, 2m) and is exact; times c it is exact while
+    |y^2 - q m| c < 2^63, which 2 m c <= 2^63 ensures, and one floor
+    remainder brings it into [0, m).
     """
+    if y.dtype == np.uint64:
+        r = y * y % m
+        return r if c is None else r * c % m
     q = (y.astype(np.float64) * y / m).astype(np.int64)
-    return np.remainder((y * y - q * m) * c, m)
+    r = y * y - q * m
+    return np.remainder(r if c is None else r * c, m)
 
 
-def _sprp(v, d, s, a):
-    """Strong probable-prime test to base a, elementwise: v - 1 = d 2^s, d odd."""
-    y = np.ones_like(v)
-    for bit in range(int(d.max()).bit_length() - 1, -1, -1):
-        y = _sqmod(y, v, 1 + (a - 1) * ((d >> bit) & 1))
-    minus = v - 1
+def _sprp(v, a):
+    """Strong probable-prime test to base a over odd int64 values a < v < 2^50.
+
+    a^d mod v (v - 1 = d 2^s, d odd) goes by windows of w bits of d: w - 1
+    plain squarings, then one whose factor c = a^digit folds the window in,
+    with w as wide as _sqmod's bound on c allows.  The squarings run in
+    uint64 when every v is below 2^32.
+    """
+    vmax = int(v.max())
+    if vmax < 1 << 32:
+        m, cap = v.astype(np.uint64), 1 << 32
+    else:
+        m, cap = v, (1 << 62) // vmax
+    d = m - 1
+    low = d & (~d + 1)
+    s = np.log2(low).astype(np.int64)
+    d >>= s.astype(d.dtype)
+    w = 1
+    while a ** ((2 << w) - 1) < cap:
+        w += 1
+    digits = np.array([a ** e for e in range(1 << w)], dtype=m.dtype)
+    top = -(-int(d.max()).bit_length() // w) * w - w
+    y = digits[d >> top] % m
+    mask = (1 << w) - 1
+    for shift in range(top - w, -1, -w):
+        for _ in range(w - 1):
+            y = _sqmod(y, m)
+        y = _sqmod(y, m, digits[(d >> shift) & mask])
+    minus = m - 1
     ok = (y == 1) | (y == minus)
     for i in range(1, int(s.max())):
         live = np.flatnonzero(~ok & (s > i))
         if live.size == 0:
             break
-        y[live] = _sqmod(y[live], v[live])
+        y[live] = _sqmod(y[live], m[live])
         ok[live] = y[live] == minus[live]
     return ok
+
+
+def probable_prime_batch(values) -> np.ndarray:
+    """The probable-prime stage of is_prime_batch, as a bool array.
+
+    False for every value shown composite (or below 2) by trial division by
+    the primes up to 61 or by the base-2 strong probable-prime test; True
+    for the primes up to 61, for the base-2 strong probable primes with no
+    factor up to 61, and for the values at or above BATCH_BOUND, which this
+    stage leaves to certify_batch.  Every prime is kept.
+    """
+    v = np.asarray(values, dtype=np.int64)
+    vals = v.reshape(-1)
+    out = vals >= BATCH_BOUND
+    small = vals <= _SMALL_PRIMES[-1]
+    out[small] = np.isin(vals[small], _SMALL_PRIMES)
+    u = vals.view(np.uint64)
+    keep = ~(small | out) & (u & 1).astype(bool)
+    prod = np.empty_like(u)
+    coprime = np.empty_like(keep)
+    for inverse, most in _ODD_DIVISIBILITY:
+        keep &= np.greater(np.multiply(u, inverse, out=prod), most, out=coprime)
+    idx = np.flatnonzero(keep)
+    if idx.size:
+        out[idx] = _sprp(vals[idx], 2)
+    return out.reshape(v.shape)
+
+
+def certify_batch(values) -> np.ndarray:
+    """The certify stage of is_prime_batch over a flat int64 array.
+
+    For values that passed probable_prime_batch: whether each is prime.
+    Below BATCH_BOUND a value runs the bases of its tier in _MR_TIERS after
+    2, each on the values that passed the ones before; at or above it the
+    value goes to the scalar is_prime.
+    """
+    w = np.asarray(values, dtype=np.int64)
+    out = np.ones(w.shape, dtype=bool)
+    tier = np.searchsorted(_TIER_BOUNDS, w, side="right")
+    for t, (_, bases) in enumerate(_MR_TIERS[:-1]):
+        idx = np.flatnonzero(tier == t)
+        for a in bases[1:]:
+            if not idx.size:
+                break
+            passed = _sprp(w[idx], a)
+            out[idx[~passed]] = False
+            idx = idx[passed]
+    for i in np.flatnonzero(tier == len(_TIER_BOUNDS)).tolist():
+        out[i] = is_prime(int(w[i]))
+    return out
 
 
 def is_prime_batch(values) -> np.ndarray:
     """is_prime over an array of 0 <= values < 2^63, as a bool array.
 
-    Trial division by the primes up to 61, then the strong probable-prime
-    tests of _MR_TIERS in numpy, bases 2, 3, 5, 7, 11, 13, 17 in turn, each
-    run on the values that passed the ones before; a value is settled prime
-    once its tier's bases are passed.  Those bases are exhaustive below
-    BATCH_BOUND = 341,550,071,728,321 (OEIS A014233); values at or above it
-    go to the scalar is_prime.
+    Two stages: probable_prime_batch (trial division by the primes up to
+    61, then the base-2 strong probable-prime test), then certify_batch on
+    what it kept (the other bases of each value's tier in _MR_TIERS, or the
+    scalar is_prime at or above BATCH_BOUND = 341,550,071,728,321).  The
+    tiers are deterministic: (2) below 2047, (2, 3) below 1,373,653 and the
+    first 5, 6 and 7 prime bases below 2,152,302,898,747, 3,474,749,660,383
+    and BATCH_BOUND (OEIS A014233); (2, 7, 61) below 4,759,123,141 and
+    (2, 13, 23, 1662803) below 1,122,004,669,633 (Jaeschke, Math. Comp. 61,
+    1993).
     """
     v = np.asarray(values, dtype=np.int64)
-    out = np.zeros(v.shape, dtype=bool)
-    flat, vals = out.reshape(-1), v.reshape(-1)
-    wide = vals >= BATCH_BOUND
-    for i in np.flatnonzero(wide).tolist():
-        flat[i] = is_prime(int(vals[i]))
-    small = vals <= _SMALL_PRIMES[-1]
-    flat[small] = np.isin(vals[small], _SMALL_PRIMES)
-    keep = ~(small | wide)
-    rem = np.empty_like(vals)
-    for p in _SMALL_PRIMES:
-        keep &= np.remainder(vals, p, out=rem) != 0
-    idx = np.flatnonzero(keep)
-    w = vals[idx]
-    low = (w - 1) & (1 - w)
-    d = (w - 1) // low
-    s = np.log2(low).astype(np.int64)
-    done = 0
-    for bound, bases in _MR_TIERS[:4]:
-        for a in bases[done:]:
-            if w.size:
-                passed = _sprp(w, d, s, a)
-                idx, w, d, s = idx[passed], w[passed], d[passed], s[passed]
-        done = len(bases)
-        settled = w < bound
-        flat[idx[settled]] = True
-        open_ = ~settled
-        idx, w, d, s = idx[open_], w[open_], d[open_], s[open_]
-    return out
+    out = probable_prime_batch(v).reshape(-1)
+    idx = np.flatnonzero(out)
+    out[idx] = certify_batch(v.reshape(-1)[idx])
+    return out.reshape(v.shape)
 
 
 def isqrt(x: int) -> int:

@@ -12,9 +12,9 @@ v = k n^2 + l n + 1, l^2 <= 4k, holds a prime, in one of two ways:
 - the row sieve: the candidates of row n live in the progression
   v = s n + 1, so one boolean sieve over s serves every k at once, and
   window membership per k is a segmented OR over the sieve;
-- the cell kernel: each undecided cell tests its next few offsets l in
-  ascending order with the batched primality test and drops out at its
-  first prime, a block of rows at a time.
+- the cell kernel: each undecided cell screens its next few offsets l
+  with the batched base-2 probable-prime test, certifies only its first
+  survivor and drops out at its first prime, a block of rows at a time.
 
 A cost model in (n, K) alone picks the cheaper way per row: the sieve
 clears K n bytes, so it wins on short rows of wide rectangles, and the
@@ -98,16 +98,18 @@ class _SieveContext:
         self.W = np.array([arith.isqrt(4 * k) for k in range(1, K + 1)], dtype=np.int64)
 
 
-# Per-row cost model in seconds, least-squares fitted to 62 (n, K) timings on a
-# 2-core x86-64 host (K from 1 to 37550, n from 1 to 10^4). With x = n sqrt(K)
-# the largest base prime, the sieve makes about K n ln ln x strided byte
-# writes and loops over the x / ln x base primes; the kernel spends a fixed
-# cost per cell plus about ln(K n^2) candidate tests.
+# Per-row cost model in seconds, fitted on a 2-core x86-64 host: the sieve
+# terms by least squares to 62 (n, K) timings (K from 1 to 37550, n from 1
+# to 10^4), the kernel terms to the picks on 30 rows timed both ways near the
+# crossovers (K from 16 to 37550). With x = n sqrt(K) the largest base prime,
+# the sieve makes about K n ln ln x strided byte writes and loops over the
+# x / ln x base primes; the kernel spends a fixed cost per cell plus about
+# ln(K n^2) candidate tests.
 _SIEVE_S_PER_WRITE = 2.3e-9
 _SIEVE_S_PER_PRIME = 1.5e-6
 _SIEVE_S_PER_ROW = 3.9e-5
-_KERNEL_S_PER_CELL = 2.4e-6
-_KERNEL_S_PER_TEST = 1.5e-7
+_KERNEL_S_PER_CELL = 1.1e-7
+_KERNEL_S_PER_TEST = 1.05e-7
 
 
 def _kernel_cheaper(n, K):
@@ -168,9 +170,10 @@ _KERNEL_STEP = 8
 def _row_kernel(ctx, ns):
     """Rows ns, shape (len(ns), K + 1), each cell certified by its first prime.
 
-    Every undecided cell (n, k) tests its next _KERNEL_STEP offsets l of the
-    window l^2 <= 4k in ascending order with one batched primality test, and
-    drops out at its first prime or once its window is used up.
+    Every undecided cell (n, k) screens its next _KERNEL_STEP offsets l of
+    the window l^2 <= 4k with one batched probable-prime test, certifies its
+    survivors in ascending l until one is prime, and drops out at that prime
+    or once its window is used up.
     """
     K = ctx.K
     ns = np.asarray(ns, dtype=np.int64)
@@ -188,7 +191,18 @@ def _row_kernel(ctx, ns):
         v *= n[live, None]
         v += 1
         v[past] = 0
-        found = arith.is_prime_batch(v).any(axis=1)
+        maybe = arith.probable_prime_batch(v)
+        # certify each cell's first survivor only: every offset before it is
+        # composite, and a base-2 strong pseudoprime hands on to the next
+        found = np.zeros(live.size, dtype=bool)
+        cells = np.flatnonzero(maybe.any(axis=1))
+        while cells.size:
+            col = maybe[cells].argmax(axis=1)
+            prime = arith.certify_batch(v[cells, col])
+            found[cells[prime]] = True
+            cells, col = cells[~prime], col[~prime]
+            maybe[cells, col] = False
+            cells = cells[maybe[cells].any(axis=1)]
         hit[live[found]] = True
         ell[live] += _KERNEL_STEP
         live = live[~found & (ell[live] <= w[live])]

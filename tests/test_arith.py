@@ -41,9 +41,55 @@ def test_is_prime_agrees_with_trial_division_random(x):
 
 
 def test_is_prime_strong_pseudoprimes():
-    # strong pseudoprimes to base 2 must still be rejected
-    for x in (2047, 3277, 4033, 8321, 65281, 3215031751):
+    # strong pseudoprimes to base 2 must still be rejected, and so must the
+    # least strong pseudoprimes to the (2, 7, 61) and (2, 13, 23, 1662803) tiers
+    for x in (2047, 3277, 4033, 8321, 65281, 3215031751) + JAESCHKE:
         assert not arith.is_prime(x)
+
+
+def strong_probable_prime(x, a):
+    # the textbook strong test to base a, for odd x > 2
+    d, s = x - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    y = pow(a, d, x)
+    if y in (1, x - 1):
+        return True
+    for _ in range(s - 1):
+        y = y * y % x
+        if y == x - 1:
+            return True
+    return False
+
+
+def test_mr_tier_bounds_are_pseudoprimes_to_their_bases():
+    # each bound below 2^64 is the least strong pseudoprime to its tier's
+    # bases, so a mistyped bound or base fails here: the bound must be a
+    # strong probable prime to every one of them, and composite (shown by a
+    # base of the first 25 primes that it fails)
+    for bound, bases in arith._MR_TIERS[:-1]:
+        assert all(strong_probable_prime(bound, a) for a in bases), bound
+        assert not all(strong_probable_prime(bound, a)
+                       for a in range(2, 100) if trial_division_is_prime(a)), bound
+    assert arith.BATCH_BOUND == arith._MR_TIERS[-2][0] == A014233[-1]
+    bounds = [bound for bound, _ in arith._MR_TIERS]
+    assert bounds == sorted(bounds) and bounds[-1] == 2 ** 64
+
+
+def test_sqmod_at_the_extremes_of_its_bound():
+    # int64 path: 2 m c <= 2^63 at the largest base, 1662803, of the tier below
+    # 1,122,004,669,633, and the largest window factor below BATCH_BOUND;
+    # uint64 path: m just below 2^32 with a factor just below 2^32
+    cases = [(1122004669633 - 2, 1662803, np.int64),
+             (arith.BATCH_BOUND - 2, (1 << 62) // arith.BATCH_BOUND - 1, np.int64),
+             ((1 << 32) - 5, (1 << 32) - 1, np.uint64), ((1 << 32) - 5, 61, np.uint64)]
+    for m, c, dtype in cases:
+        ys = [0, 1, 2, m // 2, m // 2 + 1, m - 2, m - 1] + list(range(m - 1000, m, 37))
+        y = np.array(ys, dtype=dtype)
+        mm = np.full(y.size, m, dtype=dtype)
+        got = arith._sqmod(y, mm, np.full(y.size, c, dtype=dtype))
+        assert got.tolist() == [x * x * c % m for x in ys], (m, c)
+        assert arith._sqmod(y, mm).tolist() == [x * x % m for x in ys], m
 
 
 def test_is_prime_range_guard():
@@ -55,6 +101,9 @@ def test_is_prime_range_guard():
 # bases; the last one is the batch test's bound itself
 A014233 = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
            341550071728321)
+# the least strong pseudoprimes to the bases (2, 7, 61) and (2, 13, 23, 1662803)
+# (Jaeschke, Math. Comp. 61, 1993): 48781 * 97561 and 611557 * 1834669
+JAESCHKE = (4759123141, 1122004669633)
 CARMICHAEL = (561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341,
               41041, 62745, 63973, 75361, 101101, 126217, 172081, 188461,
               252601, 278545, 294409, 314821, 334153, 340561, 399001, 410041,
@@ -71,16 +120,20 @@ def assert_batch_matches_scalar(values):
 
 def test_is_prime_batch_random_magnitudes():
     rng = np.random.default_rng(20261018)
-    for lo, hi in ((0, 10 ** 3), (10 ** 9 - 10 ** 6, 10 ** 9),
+    # windows of +-10^5 around every tier bound and around 2^32, where the
+    # squarings leave uint64
+    edges = [bound for bound, _ in arith._MR_TIERS[:-1]] + [2 ** 32]
+    for lo, hi in [(0, 10 ** 3), (10 ** 9 - 10 ** 6, 10 ** 9),
                    (10 ** 12, 5 * 10 ** 13),
                    (arith.BATCH_BOUND - 10 ** 8, arith.BATCH_BOUND),
-                   (2 ** 50 - 10 ** 6, 2 ** 50 + 10 ** 6)):
+                   (2 ** 50 - 10 ** 6, 2 ** 50 + 10 ** 6)] + [
+                       (max(0, e - 10 ** 5), e + 10 ** 5) for e in edges]:
         assert_batch_matches_scalar(rng.integers(lo, hi, 4000, dtype=np.int64).tolist())
 
 
 def test_is_prime_batch_pseudoprimes_and_small_values():
-    assert_batch_matches_scalar(list(A014233) + list(CARMICHAEL))
-    assert not arith.is_prime_batch(np.array(A014233 + CARMICHAEL)).any()
+    assert_batch_matches_scalar(list(A014233 + JAESCHKE + CARMICHAEL))
+    assert not arith.is_prime_batch(np.array(A014233 + JAESCHKE + CARMICHAEL)).any()
     assert_batch_matches_scalar(list(range(-5, 200)))
     assert_batch_matches_scalar([p * q for p in (3, 5, 7, 61) for q in (67, 71, 2 ** 31 - 1)])
 

@@ -251,18 +251,22 @@ def test_grid_respects_address_space_limit():
     assert proc.returncode == 3, proc.stderr
 
 
-def test_benchmark_tracer_hooks():
+def test_benchmark_tracer_hooks(tmp_path):
     # the benchmark's tracer rebinds package attributes by name, so a rename
-    # it depends on fails here instead of only in a traced benchmark run
+    # it depends on fails here instead of only in a traced benchmark run; the
+    # fcurve run takes the in-process kernel path and the checkpoint hook,
+    # which reads the arguments of _write_checkpoint
     root = pathlib.Path(__file__).resolve().parents[1]
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "perfbench")]))
+    resume = str(tmp_path / "fcurve.json")
     code = ("import sys, tracer\n"
             "from ecgroups import cli\n"
             "tracer.install(tracer.Tracer())\n"
             "for argv in (['missed', '--nmax', '12', '--kmax', '12'], ['check', '12', '5'],\n"
             "             ['kk', '--k', '5'], ['constants', '--euler-product-bound', '1000'],\n"
-            "             ['oracle', '--qmax', '9']):\n"
+            "             ['oracle', '--qmax', '9'],\n"
+            f"             ['fcurve', '--dmax', '40', '--step', '10', '--resume', {resume!r}]):\n"
             "    rc = cli.main(argv)\n"
             "    if rc:\n"
             "        sys.exit('%s exited %d' % (argv, rc))\n")

@@ -157,6 +157,9 @@ def test_kernel_matches_sieve_rows():
     rng = random.Random(7)
     rects = [(1, 1), (1, 40), (40, 1), (2000, 1), (3000, 4), (8000, 16),
              (30, 2000), (5, 10000), (600, 1500)]
+    # candidates on both sides of 2^32, where the squarings leave uint64, and
+    # of 4,759,123,141, where the (2, 7, 61) tier ends
+    rects += [(2000, 1200), (1900, 1300)]
     rects += [(rng.randint(1, 400), rng.randint(1, 400)) for _ in range(6)]
     for N, K in rects:
         ctx = counting._SieveContext(N, K)
@@ -164,6 +167,38 @@ def test_kernel_matches_sieve_rows():
         sieve = np.array([counting._row_sieve(ctx, n) for n in ns])
         assert np.array_equal(counting._row_kernel(ctx, ns), sieve), (N, K)
         assert not sieve[:, 0].any()
+
+
+def test_kernel_passes_over_base2_pseudoprimes(monkeypatch):
+    # cells whose first base-2 strong probable prime, in ascending l, is a
+    # composite: the kernel must reject it and certify the cell's next one
+    K = 100
+    W = np.array([arith.isqrt(4 * k) for k in range(1, K + 1)])
+    ell = np.arange(-W[-1], W[-1] + 1)
+    traps = {}
+    for n in range(1, 81):
+        v = np.arange(1, K + 1)[:, None] * n * n + ell * n + 1
+        v[np.abs(ell) > W[:, None]] = 0
+        maybe = arith.probable_prime_batch(v)
+        for k in np.flatnonzero(maybe.any(axis=1)).tolist():
+            first = int(v[k, maybe[k].argmax()])
+            if not arith.is_prime(first):
+                traps[n, k + 1] = first
+    assert len(traps) >= 3
+    rejected = set()
+    certify = arith.certify_batch
+
+    def watched(values):
+        out = certify(values)
+        rejected.update(values[~out].tolist())
+        return out
+
+    monkeypatch.setattr(arith, "certify_batch", watched)
+    ctx = counting._SieveContext(80, K)
+    ns = sorted({n for n, _ in traps})
+    kernel = counting._row_kernel(ctx, ns)
+    assert np.array_equal(kernel, np.array([counting._row_sieve(ctx, n) for n in ns]))
+    assert set(traps.values()) <= rejected
 
 
 def _dense_prime_power_marks(N, K):
