@@ -329,8 +329,11 @@ def _member_rows(N, K, workers=1, start_n=1):
     Rows are boolean arrays indexed by k with entry 0 unused. Blocks of
     rows go to the workers and are merged back in row order, so the
     stream is identical for any worker count. A worker that dies raises
-    BrokenProcessPool here.
+    BrokenProcessPool here. With start_n > N there is nothing to do, and
+    neither the context nor the marks are built.
     """
+    if start_n > N:
+        return
     ctx = _SieveContext(N, K)
     marks = _prime_power_marks(N, K)
     blocks = _row_blocks(K, range(start_n, N + 1))
@@ -371,6 +374,7 @@ def _member_rows(N, K, workers=1, start_n=1):
 
 def survey(N, K, workers=None):
     """Exact counts and missed pairs for the rectangle [1, N] x [1, K]."""
+    arith.candidate_bound(N, K)
     workers = _resolve_workers(workers)
     n_pi = 0
     n_Pi = 0
@@ -431,12 +435,14 @@ def _write_checkpoint(path, d_max, step, rows_done, missed):
     os.replace(tmp, path)
 
 
-def _read_checkpoint(path, d_max, step):
+def _read_checkpoint(path, d_max):
+    """(rows_done, missed) of a checkpoint; its step does not matter, since
+    the missed list is the same for every step."""
     with open(path) as fh:
         doc = json.load(fh)
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ValueError("unsupported checkpoint version")
-    if doc.get("dmax") != d_max or doc.get("step") != step:
+    if doc.get("dmax") != d_max:
         raise ValueError("checkpoint was written for different parameters")
     missed = [GroupShape(n, k) for n, k in doc["missed"]]
     return int(doc["rows_done"]), missed
@@ -456,7 +462,7 @@ def f_series(d_max, step=1, workers=None, resume=None, checkpoint_seconds=30.0):
     start_n = 1
     missed = []
     if resume is not None and os.path.exists(resume):
-        rows_done, missed = _read_checkpoint(resume, d_max, step)
+        rows_done, missed = _read_checkpoint(resume, d_max)
         start_n = rows_done + 1
     last_write = time.monotonic()
     for n, _, spp in _member_rows(d_max, d_max, workers, start_n=start_n):
@@ -515,26 +521,31 @@ def _progression_count(res_sorted, ps_sorted, a, lo, hi):
                - np.searchsorted(block, max(lo, 0), side="right"))
 
 
-def witness_prime_sum_progression(N, K):
-    """The same double sum through progression prime counts.
+def _progression_row(res, ps, n, K):
+    """Witness primes of row n summed over k <= K, by progression counts.
 
-    For each row n and offset l with l^2 <= 4K the candidates form the
-    progression l n + 1 mod n^2 on ((ln/2 + 1)^2, K n^2 + l n + 1]; the
-    lower endpoint is a square, so the half-open count is exact.
+    For each offset l with l^2 <= 4K the candidates form the progression
+    l n + 1 mod n^2 on ((ln/2 + 1)^2, K n^2 + l n + 1]; the lower endpoint
+    is a square, so the half-open count is exact.
     """
-    arith.candidate_bound(N, K)
-    total = 0
+    nn = n * n
     w = arith.isqrt(4 * K)
+    total = 0
+    for ell in range(-w, w + 1):
+        assert math.gcd(ell * n + 1, nn) == 1
+        lo = (ell * n) ** 2 // 4 + ell * n + 1
+        total += _progression_count(res, ps, (ell * n + 1) % nn, lo, K * nn + ell * n + 1)
+    return total
+
+
+def witness_prime_sum_progression(N, K):
+    """The same double sum through progression prime counts, row by row."""
+    arith.candidate_bound(N, K)
+    w = arith.isqrt(4 * K)
+    total = 0
     for n in range(1, N + 1):
-        nn = n * n
-        upper_max = K * nn + w * n + 1
-        res, ps = _row_prime_residues(n, upper_max)
-        for ell in range(-w, w + 1):
-            a = (ell * n + 1) % nn
-            assert math.gcd(ell * n + 1, nn) == 1
-            lo = (ell * n) ** 2 // 4 + ell * n + 1
-            hi = K * nn + ell * n + 1
-            total += _progression_count(res, ps, a, lo, hi)
+        res, ps = _row_prime_residues(n, K * n * n + w * n + 1)
+        total += _progression_row(res, ps, n, K)
     return total
 
 
@@ -542,19 +553,11 @@ def witness_prime_sum_progression_grid(N, K):
     """Partial-sum grid for the progression evaluation."""
     arith.candidate_bound(N, K)
     out = np.zeros((N + 1, K + 1), dtype=np.int64)
-    w_full = arith.isqrt(4 * K)
+    w = arith.isqrt(4 * K)
     for n in range(1, N + 1):
-        nn = n * n
-        res, ps = _row_prime_residues(n, K * nn + w_full * n + 1)
+        res, ps = _row_prime_residues(n, K * n * n + w * n + 1)
         for kp in range(1, K + 1):
-            w = arith.isqrt(4 * kp)
-            sub = 0
-            for ell in range(-w, w + 1):
-                a = (ell * n + 1) % nn
-                lo = (ell * n) ** 2 // 4 + ell * n + 1
-                hi = kp * nn + ell * n + 1
-                sub += _progression_count(res, ps, a, lo, hi)
-            out[n, kp] = sub
+            out[n, kp] = _progression_row(res, ps, n, kp)
     return out.cumsum(axis=0)
 
 

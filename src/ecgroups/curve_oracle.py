@@ -35,85 +35,28 @@ class BoundError(Exception):
 
 
 # ----------------------------------------------------------------------
-# polynomial helpers over the prime field (little-endian coefficient lists)
-# ----------------------------------------------------------------------
-
-def _ptrim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pmul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
-
-
-def _prem(a, b, p):
-    """Remainder of a modulo b, b nonzero, over the p-element field."""
-    a = list(a)
-    db = len(b) - 1
-    inv = pow(b[-1], -1, p)
-    while len(a) - 1 >= db and a:
-        if a[-1]:
-            coef = (a[-1] * inv) % p
-            shift = len(a) - 1 - db
-            for j in range(db + 1):
-                a[shift + j] = (a[shift + j] - coef * b[j]) % p
-        a.pop()
-    return _ptrim(a)
-
-
-def _pgcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _prem(a, b, p)
-    return a
-
-
-def _ppowmod(base, e, mod, p):
-    result = [1]
-    acc = _prem(base, mod, p)
-    while e:
-        if e & 1:
-            result = _prem(_pmul(result, acc, p), mod, p)
-        e >>= 1
-        if e:
-            acc = _prem(_pmul(acc, acc, p), mod, p)
-    return result
-
-
-def _is_irreducible(f, p):
-    """Check a monic polynomial for irreducibility by factor-degree sieving.
-
-    A reducible monic polynomial of degree m has an irreducible factor of
-    degree at most m // 2, and gcd(x^(p^d) - x, f) collects exactly the
-    factors whose degree divides d.
-    """
-    m = len(f) - 1
-    if m == 1:
-        return True
-    xq = [0, 1]
-    for _ in range(m // 2):
-        xq = _ppowmod(xq, p, f, p)
-        g = list(xq)
-        while len(g) < 2:
-            g.append(0)
-        g[1] = (g[1] - 1) % p
-        if len(_pgcd(f, _ptrim(g), p)) > 1:
-            return False
-    return True
-
-
-# ----------------------------------------------------------------------
 # finite fields with explicit tables
 # ----------------------------------------------------------------------
+
+def _ring_tables(p, m, modulus):
+    """Addition and multiplication tables of F_p[x]/(f), f monic of degree m.
+
+    Works on the base-p digit vectors of all q = p^m elements at once: MUL
+    is the schoolbook product of every pair, reduced by f from the top
+    degree down, and ADD is digit-wise addition mod p.
+    """
+    q = p ** m
+    place = p ** np.arange(m, dtype=np.int64)
+    D = np.arange(q, dtype=np.int64)[:, None] // place % p
+    ADD = (D[:, None, :] + D[None, :, :]) % p @ place
+    prod = np.zeros((q, q, 2 * m - 1), dtype=np.int64)
+    for i in range(m):
+        prod[:, :, i:i + m] += D[:, None, i, None] * D[None, :, :]
+    tail = np.array(modulus[:m], dtype=np.int64)
+    for top in range(2 * m - 2, m - 1, -1):
+        prod[:, :, top - m:top] -= prod[:, :, top, None] % p * tail
+    return ADD, prod[:, :, :m] % p @ place
+
 
 class FiniteField:
     """A field of p^m elements with table-driven arithmetic.
@@ -123,74 +66,57 @@ class FiniteField:
     residue class ring modulo the chosen irreducible polynomial. With this
     encoding the prime subfield occupies indices 0..p-1, and for p = 2
     addition of indices is bitwise xor.
+
+    Every table is derived from ADD and MUL with numpy and kept in _np for
+    the lane arithmetic; the scalar methods read Python list copies.
     """
 
     __slots__ = ("p", "m", "q", "modulus", "_add", "_mul", "_neg", "_inv",
                  "_chi", "_sqrt", "_sqrt2", "_h0root", "_np")
 
-    def __init__(self, p, m, modulus):
+    def __init__(self, p, m, modulus, ADD, MUL):
         self.p = p
         self.m = m
         self.q = q = p ** m
         self.modulus = tuple(modulus)
-        self._np = None
 
-        digits = []
-        for a in range(q):
-            t, d = a, []
-            for _ in range(m):
-                d.append(t % p)
-                t //= p
-            digits.append(d)
+        unit = MUL[1:] == 1
+        if not unit.any(axis=1).all():
+            raise AssertionError("element with no inverse; modulus not irreducible")
+        X = np.arange(q, dtype=np.int64)
+        INV = np.concatenate(([0], unit.argmax(axis=1)))
+        SQ = MUL[X, X]
+        T = {"q": q, "p": p, "X": X, "ADD": ADD, "MUL": MUL,
+             "NEG": (ADD == 0).argmax(axis=1), "INV": INV}
 
-        def enc(poly):
-            val = 0
-            for c in reversed(poly[:m] + [0] * (m - len(poly))):
-                val = val * p + c
-            return val
-
-        mod = list(modulus)
-        self._mul = [[enc(_prem(_pmul(digits[a], digits[b], p), mod, p))
-                      for b in range(q)] for a in range(q)]
-        self._add = [[enc([(x + y) % p for x, y in zip(digits[a], digits[b])])
-                      for b in range(q)] for a in range(q)]
-        self._neg = [enc([(-x) % p for x in digits[a]]) for a in range(q)]
-        inv = [0] * q
-        for a in range(1, q):
-            row = self._mul[a]
-            for b in range(1, q):
-                if row[b] == 1:
-                    inv[a] = b
-                    break
-            else:
-                raise AssertionError("element with no inverse; modulus not irreducible")
-        self._inv = inv
-
-        # solver tables for the y-quadratic on a curve
+        # solver tables for the y-quadratic on a curve: the least root of
+        # z^2 = c for odd p, and of w^2 + w = c for p = 2
         if p != 2:
-            chi = [-1] * q
-            chi[0] = 0
-            sqrt = [0] * q
-            seen = [False] * q
-            for z in range(q):
-                c = self._mul[z][z]
-                chi[c] = 1 if c else 0
-                if not seen[c]:
-                    seen[c] = True
-                    sqrt[c] = z
-            self._chi, self._sqrt = chi, sqrt
+            squares, first = np.unique(SQ, return_index=True)
+            T["CHI"] = np.full(q, -1, dtype=np.int64)
+            T["CHI"][squares] = 1
+            T["CHI"][0] = 0
+            T["R1"] = np.zeros(q, dtype=np.int64)
+            T["R1"][squares] = first
+            T["e2"], T["e3"] = self.emb(2), self.emb(3)
+            self._chi, self._sqrt = T["CHI"].tolist(), T["R1"].tolist()
             self._sqrt2 = self._h0root = None
         else:
-            sqrt2 = [0] * q
-            for z in range(q):
-                sqrt2[self._mul[z][z]] = z
-            h0root = [None] * q
-            for w in range(q):
-                c = self._mul[w][w] ^ w
-                if h0root[c] is None:
-                    h0root[c] = w
-            self._sqrt2, self._h0root = sqrt2, h0root
+            images, first = np.unique(SQ ^ X, return_index=True)
+            T["H0"] = np.zeros(q, dtype=bool)
+            T["H0"][images] = True
+            T["W0H"] = np.zeros(q, dtype=np.int64)
+            T["W0H"][images] = first
+            T["SQRT2"] = np.zeros(q, dtype=np.int64)
+            T["SQRT2"][SQ] = X
+            T["SQ"], T["X3"], T["INVSQ"] = SQ, MUL[X, SQ], INV[SQ]
+            self._sqrt2 = T["SQRT2"].tolist()
+            self._h0root = [w if h else None
+                            for w, h in zip(T["W0H"].tolist(), T["H0"].tolist())]
             self._chi = self._sqrt = None
+        self._np = T
+        self._add, self._mul, self._neg, self._inv = (
+            T[k].tolist() for k in ("ADD", "MUL", "NEG", "INV"))
 
         # Frobenius must fix exactly the prime subfield
         fixed = sum(1 for a in range(q) if self.pow(a, p) == a)
@@ -242,9 +168,10 @@ _FIELD_CACHE: dict = {}
 def build_field(p, m=1, bound=MAX_ORACLE_BOUND):
     """Build the field of p^m elements with a deterministic modulus.
 
-    The modulus is the first monic irreducible polynomial of degree m in
-    the lexicographic order of coefficient tuples read from the x^(m-1)
-    coefficient down to the constant term.
+    The modulus is the first monic polynomial f of degree m, in the
+    lexicographic order of coefficient tuples read from the x^(m-1)
+    coefficient down to the constant term, whose quotient ring has no zero
+    divisors, that is the first irreducible one.
     """
     if bound > MAX_ORACLE_BOUND:
         raise ValueError("bound may not exceed %d" % MAX_ORACLE_BOUND)
@@ -258,19 +185,14 @@ def build_field(p, m=1, bound=MAX_ORACLE_BOUND):
     key = (p, m)
     if key in _FIELD_CACHE:
         return _FIELD_CACHE[key]
-    modulus = None
+    # F_p[x]/(f) is a field iff f is irreducible, and a finite ring is a
+    # field iff it has no zero divisors
     for t in range(q):
-        coeffs = []
-        tt = t
-        for _ in range(m):
-            coeffs.append(tt % p)
-            tt //= p
-        cand = coeffs + [1]
-        if _is_irreducible(cand, p):
-            modulus = cand
+        modulus = [t // p ** i % p for i in range(m)] + [1]
+        ADD, MUL = _ring_tables(p, m, modulus)
+        if MUL[1:, 1:].all():
             break
-    assert modulus is not None, "no irreducible polynomial found"
-    fld = FiniteField(p, m, modulus)
+    fld = FiniteField(p, m, modulus, ADD, MUL)
     _FIELD_CACHE[key] = fld
     return fld
 
@@ -502,37 +424,8 @@ def group_structure(curve):
 # ----------------------------------------------------------------------
 
 def _tables(field):
-    """Numpy companions to the field tables, built once per field."""
-    if field._np is not None:
-        return field._np
-    q, p = field.q, field.p
-    T = {
-        "q": q,
-        "p": p,
-        "X": np.arange(q, dtype=np.int64),
-        "MUL": np.array(field._mul, dtype=np.int64),
-        "NEG": np.array(field._neg, dtype=np.int64),
-        "INV": np.array([0] + field._inv[1:], dtype=np.int64),
-    }
-    MUL = T["MUL"]
-    if p != 2:
-        T["ADD"] = np.array(field._add, dtype=np.int64)
-        T["CHI"] = np.array(field._chi, dtype=np.int64)
-        T["R1"] = np.array(field._sqrt, dtype=np.int64)
-        T["e2"] = field.emb(2)
-        T["e3"] = field.emb(3)
-    else:
-        X = T["X"]
-        T["SQ"] = MUL[X, X]
-        T["X3"] = MUL[X, T["SQ"]]
-        invsq = np.zeros(q, dtype=np.int64)
-        invsq[1:] = T["INV"][T["SQ"][1:]]
-        T["INVSQ"] = invsq
-        T["H0"] = np.array([w is not None for w in field._h0root])
-        T["W0H"] = np.array([w or 0 for w in field._h0root], dtype=np.int64)
-        T["SQRT2"] = np.array(field._sqrt2, dtype=np.int64)
-    field._np = T
-    return T
+    """Numpy tables of the field for the lane arithmetic, built with it."""
+    return field._np
 
 
 # --- lane-parallel addition, one specialization per family ---

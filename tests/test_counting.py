@@ -117,7 +117,7 @@ def test_f_series_consistent_with_survey():
     assert f_series(40)[-1].f == 40 * 40 - grid.count_S_Pi
 
 
-def test_f_series_checkpoint_roundtrip(tmp_path):
+def test_f_series_checkpoint_roundtrip(tmp_path, monkeypatch):
     path = str(tmp_path / "ck.json")
     want = f_series(40, step=5)
     got = f_series(40, step=5, resume=path, checkpoint_seconds=0.0)
@@ -125,8 +125,15 @@ def test_f_series_checkpoint_roundtrip(tmp_path):
     doc = json.loads(open(path).read())
     assert doc["version"] == counting.CHECKPOINT_VERSION
     assert doc["rows_done"] == 40
-    # resuming a finished run returns the same series without resieving
-    assert f_series(40, step=5, resume=path) == want
+    # resuming a finished run returns the same series without survey work
+
+    def no_survey(*args):
+        raise AssertionError("survey work on a finished checkpoint")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(counting, "_SieveContext", no_survey)
+        mp.setattr(counting, "_prime_power_marks", no_survey)
+        assert f_series(40, step=5, resume=path) == want
     # a partially complete checkpoint resumes to the same answer
     doc2 = dict(doc)
     doc2["rows_done"] = 17
@@ -134,6 +141,10 @@ def test_f_series_checkpoint_roundtrip(tmp_path):
     with open(path, "w") as fh:
         json.dump(doc2, fh)
     assert f_series(40, step=5, resume=path) == want
+    # the step does not enter the checkpoint: a step-5 one resumes under step 10
+    with open(path, "w") as fh:
+        json.dump(doc2, fh)
+    assert f_series(40, step=10, resume=path) == f_series(40, step=10)
     # parameter mismatch is refused
     with open(path, "w") as fh:
         json.dump(dict(doc, dmax=39), fh)

@@ -107,16 +107,55 @@ def test_build_field_moduli():
     assert build_field(5, 1).q == 5
 
 
+def extension_fields():
+    """(p, m) of every field of p^m <= MAX_ORACLE_BOUND elements with m >= 2."""
+    for q in range(4, MAX_ORACLE_BOUND + 1):
+        decomp = arith.prime_power_decompose(q)
+        if decomp is not None and decomp[1] >= 2:
+            yield decomp
+
+
 def test_build_field_modulus_minimality():
-    # the chosen degree-6 modulus must be irreducible and every smaller
-    # coefficient pattern reducible, checked by independent trial division
-    fld = build_field(2, 6)
-    coeffs = list(fld.modulus)
-    assert not ref_poly_reducible(coeffs, 2)
-    chosen = sum(c << i for i, c in enumerate(coeffs[:-1]))
-    for t in range(chosen):
-        cand = [(t >> i) & 1 for i in range(6)] + [1]
-        assert ref_poly_reducible(cand, 2)
+    # for every extension field in the bound, the chosen modulus must be
+    # irreducible and every earlier coefficient pattern reducible, checked
+    # by independent trial division
+    for p, m in extension_fields():
+        coeffs = list(build_field(p, m).modulus)
+        assert len(coeffs) == m + 1 and coeffs[-1] == 1, (p, m)
+        assert not ref_poly_reducible(coeffs, p), (p, m)
+        chosen = sum(c * p ** i for i, c in enumerate(coeffs[:-1]))
+        for t in range(chosen):
+            cand = [t // p ** i % p for i in range(m)] + [1]
+            assert ref_poly_reducible(cand, p), (p, m, cand)
+
+
+def test_field_tables_match_polynomial_reference():
+    # every sum and product of every extension field, against digit lists
+    # multiplied by schoolbook and reduced by the field's modulus
+    for p, m in extension_fields():
+        F = build_field(p, m)
+        T = _tables(F)
+        f = F.modulus
+        digits = [[a // p ** i % p for i in range(m)] for a in range(F.q)]
+
+        def encode(coeffs):
+            return sum(c % p * p ** i for i, c in enumerate(coeffs))
+
+        for a, da in enumerate(digits):
+            for b, db in enumerate(digits):
+                prod = [0] * (2 * m - 1)
+                for i, x in enumerate(da):
+                    for j, y in enumerate(db):
+                        prod[i + j] += x * y
+                for top in range(2 * m - 2, m - 1, -1):
+                    c = prod.pop() % p
+                    for j in range(m):
+                        prod[top - m + j] -= c * f[j]
+                assert T["MUL"][a, b] == F.mul(a, b) == encode(prod), (p, m, a, b)
+                total = encode([x + y for x, y in zip(da, db)])
+                assert T["ADD"][a, b] == F.add(a, b) == total, (p, m, a, b)
+                if p == 2:
+                    assert T["ADD"][a, b] == a ^ b
 
 
 def test_build_field_errors():
