@@ -6,21 +6,13 @@ evaluates the witness-prime double sum two independent ways: a direct
 primality test of every candidate and a progression-count identity. The
 two must agree exactly.
 
-The bulk path decides rows n, each cell (n, k) by whether its window
-v = k n^2 + l n + 1, l^2 <= 4k, holds a prime, in one of two ways:
-
-- the row sieve: the candidates of row n live in the progression
-  v = s n + 1, so one boolean sieve over s serves every k at once, and
-  window membership per k is a segmented OR over the sieve;
-- the cell kernel: each undecided cell screens its next few offsets l
-  with the batched base-2 probable-prime test, certifies only its first
-  survivor and drops out at its first prime, a block of rows at a time.
-
-A cost model in (n, K) alone picks the cheaper way per row: the sieve
-clears K n bytes, so it wins on short rows of wide rectangles, and the
-kernel wins once n is large against sqrt(K). Prime-power witnesses
-(q = p^j, j >= 2) are sparse and are merged in from a single global pass
-over the divisors n of q - 1.
+The bulk path decides rows n with one cell kernel: cell (n, k) is in the
+prime-witness set when its window v = k n^2 + l n + 1, l^2 <= 4k, holds a
+prime. Each undecided cell screens its next few offsets l with the
+batched base-2 probable-prime test, certifies only its first survivor and
+drops out at its first prime, a block of rows at a time. Prime-power
+witnesses (q = p^j, j >= 2) are sparse and are merged in from a single
+global pass over the divisors n of q - 1.
 """
 
 from __future__ import annotations
@@ -76,92 +68,26 @@ class SeriesPoint:
 
 
 # ---------------------------------------------------------------------------
-# the row sieve
+# the cell kernel
 # ---------------------------------------------------------------------------
 
 class _SieveContext:
-    """Shared precomputation for one rectangle: window widths and primes.
+    """Shared precomputation for one rectangle: the window widths.
 
-    For row n the candidate v = k n^2 + l n + 1 is v = s n + 1 with
-    s = k n + l, so the per-k windows are s in [k n - w_k, k n + w_k],
-    w_k = isqrt(4k). The widths are n-independent and shared by every row.
+    Cell (n, k) holds the candidates v = k n^2 + l n + 1 with |l| <= w_k,
+    w_k = isqrt(4k). The widths depend on K alone and serve every row.
     """
 
-    __slots__ = ("N", "K", "L", "vmax", "base", "W")
+    __slots__ = ("K", "W")
 
     def __init__(self, N, K):
-        self.N = N
         self.K = K
-        self.L = arith.isqrt(4 * K)
-        self.vmax = arith.candidate_bound(N, K)
-        self.base = arith.primes_in_range(2, max(2, arith.isqrt(self.vmax)))
         self.W = np.array([arith.isqrt(4 * k) for k in range(1, K + 1)], dtype=np.int64)
 
 
-# Per-row cost model in seconds, fitted on a 2-core x86-64 host: the sieve
-# terms by least squares to 62 (n, K) timings (K from 1 to 37550, n from 1
-# to 10^4), the kernel terms to the picks on 30 rows timed both ways near the
-# crossovers (K from 16 to 37550). With x = n sqrt(K) the largest base prime,
-# the sieve makes about K n ln ln x strided byte writes and loops over the
-# x / ln x base primes; the kernel spends a fixed cost per cell plus about
-# ln(K n^2) candidate tests.
-_SIEVE_S_PER_WRITE = 2.3e-9
-_SIEVE_S_PER_PRIME = 1.5e-6
-_SIEVE_S_PER_ROW = 3.9e-5
-_KERNEL_S_PER_CELL = 1.1e-7
-_KERNEL_S_PER_TEST = 1.05e-7
-
-
-def _kernel_cheaper(n, K):
-    """Whether the cell kernel is expected to beat the row sieve on row n."""
-    x = n * math.sqrt(K)
-    sieve = (_SIEVE_S_PER_WRITE * K * n * math.log(math.log(x + 3) + 1)
-             + _SIEVE_S_PER_PRIME * x / math.log(x + 2) + _SIEVE_S_PER_ROW)
-    kernel = K * (_KERNEL_S_PER_CELL + _KERNEL_S_PER_TEST * math.log(K * n * n + 2))
-    return kernel < sieve
-
-
 def _sieve_row(ctx, n):
-    """Membership of (n, k) in the prime-witness set for every k <= K.
-
-    Runs the row sieve or the cell kernel, whichever the cost model
-    expects to be cheaper for (n, K).
-    """
-    if _kernel_cheaper(n, ctx.K):
-        return _row_kernel(ctx, [n])[0]
-    return _row_sieve(ctx, n)
-
-
-def _row_sieve(ctx, n):
-    """Row n by sieving primality of v = s n + 1 over the whole s-range.
-
-    Clears the residue class s = -1/n mod r for each base prime r, keeping
-    r itself when it happens to be a candidate.
-    """
-    K, L = ctx.K, ctx.L
-    smax = K * n + L
-    # one spare entry past smax: the last window's end bound indexes it
-    A = np.ones(smax + 2, dtype=bool)
-    A[0] = False
-    rmax = arith.isqrt(smax * n + 1)
-    cut = int(np.searchsorted(ctx.base, rmax, side="right"))
-    for r in ctx.base[:cut].tolist():
-        if n % r == 0:
-            continue
-        s0 = (r - pow(n, -1, r)) % r
-        if s0 * n + 1 == r:
-            s0 += r
-        if s0 <= smax:
-            A[s0::r] = False
-    # windows [k n - w_k, k n + w_k] as reduceat segments at the even bounds;
-    # s = -1 (v = 0, at n = k = 1) is clipped away
-    centre = np.arange(1, K + 1, dtype=np.int64) * n
-    bounds = np.empty(2 * K, dtype=np.int64)
-    bounds[0::2] = np.maximum(centre - ctx.W, 0)
-    bounds[1::2] = centre + ctx.W + 1
-    row = np.zeros(K + 1, dtype=bool)
-    row[1:] = np.logical_or.reduceat(A, bounds)[0::2]
-    return row
+    """Membership of (n, k) in the prime-witness set for every k <= K."""
+    return _row_kernel(ctx, [n])[0]
 
 
 _KERNEL_STEP = 8
@@ -282,33 +208,10 @@ def _prime_power_marks(N, K):
     return marks
 
 
-# Rows are solved in blocks of about this many cells: enough to amortize the
-# kernel's per-round numpy calls when a row holds only a few cells, few
-# enough that a round's arrays stay near 10 MB.
+# Rows are solved in runs of max(1, _BLOCK_CELLS // K) consecutive rows: enough
+# cells to amortize the kernel's per-round numpy calls when a row holds only a
+# few, few enough that a round's arrays stay near 10 MB.
 _BLOCK_CELLS = 1 << 15
-
-
-def _row_blocks(K, ns):
-    """Split the rows ns into runs of consecutive rows that take the same
-    path, each at most max(1, _BLOCK_CELLS // K) rows long."""
-    per = max(1, _BLOCK_CELLS // K)
-    block, kernel = [], None
-    for n in ns:
-        pick = _kernel_cheaper(n, K)
-        if block and (pick != kernel or len(block) == per):
-            yield block, kernel
-            block = []
-        block.append(n)
-        kernel = pick
-    if block:
-        yield block, kernel
-
-
-def _rows_block(ctx, ns, kernel):
-    """Membership rows of one block, shape (len(ns), K + 1)."""
-    if kernel:
-        return _row_kernel(ctx, ns)
-    return np.array([_sieve_row(ctx, n) for n in ns])
 
 
 _POOL_CTX = None
@@ -319,8 +222,8 @@ def _pool_init(ctx):
     _POOL_CTX = ctx
 
 
-def _pool_block(ns, kernel):
-    return np.packbits(_rows_block(_POOL_CTX, ns, kernel), axis=1)
+def _pool_block(ns):
+    return np.packbits(_row_kernel(_POOL_CTX, ns), axis=1)
 
 
 def _member_rows(N, K, workers=1, start_n=1):
@@ -336,7 +239,8 @@ def _member_rows(N, K, workers=1, start_n=1):
         return
     ctx = _SieveContext(N, K)
     marks = _prime_power_marks(N, K)
-    blocks = _row_blocks(K, range(start_n, N + 1))
+    per = max(1, _BLOCK_CELLS // K)
+    blocks = (range(n, min(n + per, N + 1)) for n in range(start_n, N + 1, per))
 
     def finish(ns, rows):
         for n, spi in zip(ns, rows):
@@ -346,8 +250,8 @@ def _member_rows(N, K, workers=1, start_n=1):
             yield n, spi, spp
 
     if workers == 1:
-        for ns, kernel in blocks:
-            yield from finish(ns, _rows_block(ctx, ns, kernel))
+        for ns in blocks:
+            yield from finish(ns, _row_kernel(ctx, ns))
         return
     # the process-pool module loads on this first use, not with the package
     with concurrent.futures.ProcessPoolExecutor(
@@ -360,8 +264,8 @@ def _member_rows(N, K, workers=1, start_n=1):
             packed = future.result()
             return finish(ns, np.unpackbits(packed, axis=1, count=K + 1).astype(bool))
 
-        for ns, kernel in blocks:
-            pending.append((ns, pool.submit(_pool_block, ns, kernel)))
+        for ns in blocks:
+            pending.append((ns, pool.submit(_pool_block, ns)))
             if len(pending) > 2 * workers:
                 yield from merge()
         while pending:
@@ -404,14 +308,18 @@ def _memory_budget():
     return min(limits)
 
 
+def _require_memory(need, what):
+    """Raise OverflowError when what, taking need bytes, exceeds the budget."""
+    have = _memory_budget()
+    if need > have:
+        raise OverflowError(f"{what} would take {need} bytes, "
+                            f"more than the {have} bytes of memory available")
+
+
 def membership_grid(N, K, workers=None):
     """Boolean membership tables, shape (N+1, K+1), index 0 unused."""
     arith.candidate_bound(N, K)
-    need = 2 * (N + 1) * (K + 1)
-    have = _memory_budget()
-    if need > have:
-        raise OverflowError(f"membership tables need {need} bytes, "
-                            f"more than the {have} bytes of memory available")
+    _require_memory(2 * (N + 1) * (K + 1), "membership tables")
     workers = _resolve_workers(workers)
     spi = np.zeros((N + 1, K + 1), dtype=bool)
     spp = np.zeros((N + 1, K + 1), dtype=bool)
@@ -503,12 +411,17 @@ def witness_prime_sum_direct_grid(N, K):
     return cell.cumsum(axis=0).cumsum(axis=1)
 
 
-def _row_prime_residues(n, upper):
-    """Primes up to upper bucketed by residue mod n^2, ready for bisection."""
-    ps = arith.primes_in_range(2, max(2, upper))
-    res = ps % (n * n)
-    order = np.lexsort((ps, res))
-    return res[order], ps[order]
+def _progression_rows(N, K):
+    """Yield (n, res, ps) for n <= N: the primes up to row n's largest
+    candidate, bucketed by residue mod n^2 and ready for bisection. One
+    sieve to the rectangle's largest candidate serves every row."""
+    w = arith.isqrt(4 * K)
+    primes = arith.primes_in_range(2, arith.candidate_bound(N, K))
+    for n in range(1, N + 1):
+        ps = primes[:np.searchsorted(primes, K * n * n + w * n + 1, side="right")]
+        res = ps % (n * n)
+        order = np.lexsort((ps, res))
+        yield n, res[order], ps[order]
 
 
 def _progression_count(res_sorted, ps_sorted, a, lo, hi):
@@ -540,22 +453,13 @@ def _progression_row(res, ps, n, K):
 
 def witness_prime_sum_progression(N, K):
     """The same double sum through progression prime counts, row by row."""
-    arith.candidate_bound(N, K)
-    w = arith.isqrt(4 * K)
-    total = 0
-    for n in range(1, N + 1):
-        res, ps = _row_prime_residues(n, K * n * n + w * n + 1)
-        total += _progression_row(res, ps, n, K)
-    return total
+    return sum(_progression_row(res, ps, n, K) for n, res, ps in _progression_rows(N, K))
 
 
 def witness_prime_sum_progression_grid(N, K):
     """Partial-sum grid for the progression evaluation."""
-    arith.candidate_bound(N, K)
     out = np.zeros((N + 1, K + 1), dtype=np.int64)
-    w = arith.isqrt(4 * K)
-    for n in range(1, N + 1):
-        res, ps = _row_prime_residues(n, K * n * n + w * n + 1)
+    for n, res, ps in _progression_rows(N, K):
         for kp in range(1, K + 1):
             out[n, kp] = _progression_row(res, ps, n, kp)
     return out.cumsum(axis=0)

@@ -251,6 +251,22 @@ def test_grid_respects_address_space_limit():
     assert proc.returncode == 3, proc.stderr
 
 
+def test_grid_payload_respects_address_space_limit():
+    # 32 MB of tables but about 2.6 GB of payload, above a 1.5 GB RLIMIT_AS:
+    # refused up front, where building the payload used to die of MemoryError
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (15 * 10 ** 8, resource.RLIM_INFINITY))
+
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-m", "ecgroups.cli", "grid",
+                           "--nmax", "4000", "--kmax", "4000"],
+                          env=env, preexec_fn=cap, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert "grid payload" in proc.stderr
+
+
 def test_benchmark_tracer_hooks(tmp_path):
     # the benchmark's tracer rebinds package attributes by name, so a rename
     # it depends on fails here instead of only in a traced benchmark run; the
@@ -294,7 +310,7 @@ def test_workers_identical(capsys):
     assert one == many
 
 
-def dying_pool_block(ns, kernel):
+def dying_pool_block(ns):
     # stands in for the pool's block function: every worker dies
     os.kill(os.getpid(), signal.SIGKILL)
 

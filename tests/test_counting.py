@@ -1,6 +1,6 @@
 """Rectangle surveys, the f(D) series, and the witness-prime double sum.
 
-The bulk sieve is checked against the per-pair membership functions, an
+The bulk cell kernel is checked against the per-shape predicate, an
 interval sieve for the n = 1 row, and hand-frozen counts for the 25 x 25
 rectangle. The two double-sum evaluations must agree exactly.
 """
@@ -161,10 +161,18 @@ def test_workers_bit_identical():
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
-def test_kernel_matches_sieve_rows():
-    # the two row solvers side by side, on rows from both sides of the
-    # cost model's crossover: n < sqrt(K), n >> sqrt(K), K = 1 and row 1,
-    # whose cell (1, 1) holds v = 0 at l = -2
+def _predicate_rows(ns, K):
+    # the per-shape predicate: scalar is_prime over each window in ascending l
+    rows = np.zeros((len(ns), K + 1), dtype=bool)
+    for i, n in enumerate(ns):
+        for k in range(1, K + 1):
+            rows[i, k] = smallest_prime_witness(GroupShape(n, k)) is not None
+    return rows
+
+
+def test_kernel_matches_per_shape_predicate():
+    # full kernel rows against the per-shape predicate, on rows with n < sqrt(K)
+    # and n >> sqrt(K), K = 1 and row 1, whose cell (1, 1) holds v = 0 at l = -2
     rng = random.Random(7)
     rects = [(1, 1), (1, 40), (40, 1), (2000, 1), (3000, 4), (8000, 16),
              (30, 2000), (5, 10000), (600, 1500)]
@@ -175,9 +183,26 @@ def test_kernel_matches_sieve_rows():
     for N, K in rects:
         ctx = counting._SieveContext(N, K)
         ns = sorted({1, N, *rng.sample(range(1, N + 1), min(N, 12))})
-        sieve = np.array([counting._row_sieve(ctx, n) for n in ns])
-        assert np.array_equal(counting._row_kernel(ctx, ns), sieve), (N, K)
-        assert not sieve[:, 0].any()
+        got = counting._row_kernel(ctx, ns)
+        assert np.array_equal(got, _predicate_rows(ns, K)), (N, K)
+        assert not got[:, 0].any()
+
+
+def test_sieve_row_matches_membership_grid():
+    # the single-row entry point that row-cost measurements time
+    for N, K, ns in ((1, 1, (1,)), (30, 40, (1, 7, 30)), (12, 300, (2, 12))):
+        spi, _ = membership_grid(N, K)
+        ctx = counting._SieveContext(N, K)
+        for n in ns:
+            assert np.array_equal(counting._sieve_row(ctx, n), spi[n]), (N, K, n)
+
+
+def test_survey_independent_of_block_size(monkeypatch):
+    # runs of one row, of three rows, and of seven rows with a short last run
+    want = survey(60, 40)
+    for cells in (1, 3 * 40 + 1, 7 * 40):
+        monkeypatch.setattr(counting, "_BLOCK_CELLS", cells)
+        assert survey(60, 40) == want, cells
 
 
 def test_kernel_passes_over_base2_pseudoprimes(monkeypatch):
@@ -207,8 +232,7 @@ def test_kernel_passes_over_base2_pseudoprimes(monkeypatch):
     monkeypatch.setattr(arith, "certify_batch", watched)
     ctx = counting._SieveContext(80, K)
     ns = sorted({n for n, _ in traps})
-    kernel = counting._row_kernel(ctx, ns)
-    assert np.array_equal(kernel, np.array([counting._row_sieve(ctx, n) for n in ns]))
+    assert np.array_equal(counting._row_kernel(ctx, ns), _predicate_rows(ns, K))
     assert set(traps.values()) <= rejected
 
 
@@ -248,11 +272,11 @@ def test_prime_power_marks_match_dense():
 _REAL_POOL_BLOCK = counting._pool_block
 
 
-def dying_pool_block(ns, kernel):
+def dying_pool_block(ns):
     # stands in for the pool's block function; its worker dies on row 7
     if 7 in ns:
         os.kill(os.getpid(), signal.SIGKILL)
-    return _REAL_POOL_BLOCK(ns, kernel)
+    return _REAL_POOL_BLOCK(ns)
 
 
 def _alarm(signum, frame):
@@ -293,6 +317,22 @@ def test_np_identity_on_grid():
     assert direct[40, 40] == witness_prime_sum_direct(40, 40)
     assert prog[17, 23] == witness_prime_sum_progression(17, 23)
     assert direct[1, 1] == 2
+
+
+def test_progression_sieves_once(monkeypatch):
+    want = witness_prime_sum_direct_grid(6, 30)
+    calls = []
+    sieve = arith.primes_in_range
+
+    def counted(lo, hi, *args):
+        calls.append(hi)
+        return sieve(lo, hi, *args)
+
+    monkeypatch.setattr(arith, "primes_in_range", counted)
+    assert witness_prime_sum_progression(6, 30) == want[6, 30]
+    assert calls == [arith.candidate_bound(6, 30)]
+    assert np.array_equal(witness_prime_sum_progression_grid(6, 30), want)
+    assert len(calls) == 2
 
 
 def test_np_direct_reference():
