@@ -219,12 +219,6 @@ def is_prime_batch(values) -> np.ndarray:
     return out.reshape(v.shape)
 
 
-def isqrt(x: int) -> int:
-    if x < 0:
-        raise ValueError("isqrt of negative value")
-    return math.isqrt(x)
-
-
 def candidate_bound(N: int, K: int) -> int:
     """Largest candidate value K N^2 + isqrt(4K) N + 1 over [1, N] x [1, K].
 
@@ -233,7 +227,7 @@ def candidate_bound(N: int, K: int) -> int:
     """
     if N < 1 or K < 1:
         raise ValueError("rectangle bounds must be positive")
-    vmax = K * N * N + isqrt(4 * K) * N + 1
+    vmax = K * N * N + math.isqrt(4 * K) * N + 1
     _check_range(vmax, "largest candidate")
     return vmax
 
@@ -339,38 +333,6 @@ def primes_in_range(lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT) -> np
         out.append(seg)
         start = stop + 1
     return np.concatenate(out) if out else np.empty(0, dtype=np.int64)
-
-
-def pi_progression(x: int, m: int, a: int, count_prime_powers: bool = False) -> int:
-    """pi(x; m, a): primes p <= x with p = a (mod m).
-
-    With count_prime_powers set, counts prime powers p^j <= x (j >= 1) in the
-    progression instead.
-    """
-    if m < 1:
-        raise ValueError("modulus must be >= 1")
-    a %= m
-    if math.gcd(a, m) != 1:
-        raise ValueError("residue must be coprime to the modulus")
-    _check_range(x, "count bound")
-    if x < 2:
-        return 0
-    count = 0
-    for seg_lo in range(2, x + 1, DEFAULT_SEGMENT):
-        seg_hi = min(seg_lo + DEFAULT_SEGMENT - 1, x)
-        ps = primes_in_range(seg_lo, seg_hi)
-        if m == 1:
-            count += len(ps)
-        else:
-            count += int(np.count_nonzero(ps % m == a))
-    if count_prime_powers and x >= 4:
-        for p in primes_in_range(2, math.isqrt(x)):
-            v = int(p) * int(p)
-            while v <= x:
-                if v % m == a:
-                    count += 1
-                v *= int(p)
-    return count
 
 
 def factorize(n: int) -> dict[int, int]:

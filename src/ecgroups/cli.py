@@ -15,7 +15,7 @@ import json
 import sys
 from concurrent.futures import BrokenExecutor
 
-from . import counting, curve_oracle, heuristics, special_sets
+from . import arith, counting, curve_oracle, heuristics, special_sets
 from .curve_oracle import BoundError
 from .realizability import (GroupShape, smallest_prime_power_witness,
                             smallest_prime_witness, square_witness_primes,
@@ -276,13 +276,12 @@ def _run_oracle(args):
     if args.qmax > curve_oracle.MAX_ORACLE_BOUND:
         raise BoundError("qmax %d exceeds the oracle limit %d"
                          % (args.qmax, curve_oracle.MAX_ORACLE_BOUND))
-    from .arith import prime_power_decompose
     entries = []
     rows = []
     for q in range(2, args.qmax + 1):
-        if prime_power_decompose(q) is None:
+        if arith.prime_power_decompose(q) is None:
             continue
-        entry = curve_oracle.atlas(q, bound=args.qmax)
+        entry = curve_oracle.atlas(q)
         entries.append(entry)
         rows.extend((q, n, k) for n, k in entry["shapes"])
     obj = {"q_max": args.qmax, "atlas": entries}

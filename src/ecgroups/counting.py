@@ -82,7 +82,7 @@ class _SieveContext:
 
     def __init__(self, N, K):
         self.K = K
-        self.W = np.array([arith.isqrt(4 * k) for k in range(1, K + 1)], dtype=np.int64)
+        self.W = np.array([math.isqrt(4 * k) for k in range(1, K + 1)], dtype=np.int64)
 
 
 def _sieve_row(ctx, n):
@@ -140,7 +140,7 @@ def _row_kernel(ctx, ns):
 def _smallest_factors(limit):
     """spf[x] = the smallest prime factor of x for 2 <= x <= limit."""
     spf = np.zeros(limit + 1, dtype=np.int32)
-    for p in arith.primes_in_range(2, max(2, arith.isqrt(limit))).tolist():
+    for p in arith.primes_in_range(2, max(2, math.isqrt(limit))).tolist():
         sub = spf[p * p::p]
         sub[sub == 0] = p
     rest = np.flatnonzero(spf == 0)
@@ -181,8 +181,8 @@ def _prime_power_marks(N, K):
     window can contain q through the full realizability predicate.
     """
     vmax = arith.candidate_bound(N, K)
-    L = arith.isqrt(4 * K)
-    root = arith.isqrt(vmax)
+    L = math.isqrt(4 * K)
+    root = math.isqrt(vmax)
     spf = memoryview(_smallest_factors(root + 1))
     marks = {}
     for p in arith.primes_in_range(2, max(2, root)).tolist():
@@ -194,7 +194,7 @@ def _prime_power_marks(N, K):
                 fac = arith.factorize(q - 1)
             # a window holds q only if k n^2 - 2 sqrt(k) n <= q - 1 <= K n^2 + L n
             # for some k <= K, which needs n <= 1 + sqrt(q) and the right side
-            for n in _divisors_upto(fac, min(N, arith.isqrt(q) + 1)):
+            for n in _divisors_upto(fac, min(N, math.isqrt(q) + 1)):
                 if K * n * n + L * n < q - 1:
                     continue
                 s = (q - 1) // n
@@ -401,11 +401,12 @@ def witness_prime_sum_direct(N, K):
 def witness_prime_sum_direct_grid(N, K):
     """All partial sums at once: entry [N', K'] is the (N', K') value."""
     arith.candidate_bound(N, K)
+    _require_memory(3 * 8 * (N + 1) * (K + 1), "the direct sum's cells and partial sums")
     cell = np.zeros((N + 1, K + 1), dtype=np.int64)
     for n in range(1, N + 1):
         nn = n * n
         for k in range(1, K + 1):
-            w = arith.isqrt(4 * k)
+            w = math.isqrt(4 * k)
             cell[n, k] = sum(1 for ell in range(-w, w + 1)
                              if arith.is_prime(k * nn + ell * n + 1))
     return cell.cumsum(axis=0).cumsum(axis=1)
@@ -415,8 +416,14 @@ def _progression_rows(N, K):
     """Yield (n, res, ps) for n <= N: the primes up to row n's largest
     candidate, bucketed by residue mod n^2 and ready for bisection. One
     sieve to the rectangle's largest candidate serves every row."""
-    w = arith.isqrt(4 * K)
-    primes = arith.primes_in_range(2, arith.candidate_bound(N, K))
+    w = math.isqrt(4 * K)
+    vmax = arith.candidate_bound(N, K)
+    # 8 bytes a prime times 8 copies: the sieve's, and a row's residues, order
+    # and bucketed arrays beside the previous row's (peak RSS 7.1-7.5 copies
+    # at vmax = 10^8 and 4 10^8); pi(x) < 1.25506 x / ln x for x > 1
+    # (Rosser and Schoenfeld 1962)
+    _require_memory(int(64 * 1.25506 * vmax / math.log(vmax)), "the progression sum's primes")
+    primes = arith.primes_in_range(2, vmax)
     for n in range(1, N + 1):
         ps = primes[:np.searchsorted(primes, K * n * n + w * n + 1, side="right")]
         res = ps % (n * n)
@@ -442,7 +449,7 @@ def _progression_row(res, ps, n, K):
     is a square, so the half-open count is exact.
     """
     nn = n * n
-    w = arith.isqrt(4 * K)
+    w = math.isqrt(4 * K)
     total = 0
     for ell in range(-w, w + 1):
         assert math.gcd(ell * n + 1, nn) == 1

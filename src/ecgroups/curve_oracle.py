@@ -1,9 +1,10 @@
 """Ground truth by exhaustion: curve groups over small finite fields.
 
-Fields up to the oracle bound are built with explicit arithmetic tables,
-and the group shape of a curve is computed by exhausting its points. The
-resulting atlas of realized (n, k) pairs per field is the reference that
-the closed-form realizability predicate is validated against.
+Fields of at most MAX_ORACLE_BOUND = 128 elements are built with explicit
+arithmetic tables, and the group shape of a curve is computed by
+exhausting its points. The resulting atlas of realized (n, k) pairs per
+field is the reference that the closed-form realizability predicate is
+validated against.
 
 Two independent code paths coexist on purpose. The scalar path
 (enumerate_curves, group_structure) walks every curve of the reduced
@@ -17,14 +18,13 @@ specializations. The test suite checks them against each other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import arith
 from .realizability import GroupShape, hasse_window, shape_realizable_over
 
-DEFAULT_ORACLE_BOUND = 64
 MAX_ORACLE_BOUND = 128
 
 _RESOLVE_CHUNK = 4096
@@ -165,7 +165,7 @@ class FiniteField:
 _FIELD_CACHE: dict = {}
 
 
-def build_field(p, m=1, bound=MAX_ORACLE_BOUND):
+def build_field(p, m=1):
     """Build the field of p^m elements with a deterministic modulus.
 
     The modulus is the first monic polynomial f of degree m, in the
@@ -173,15 +173,14 @@ def build_field(p, m=1, bound=MAX_ORACLE_BOUND):
     coefficient down to the constant term, whose quotient ring has no zero
     divisors, that is the first irreducible one.
     """
-    if bound > MAX_ORACLE_BOUND:
-        raise ValueError("bound may not exceed %d" % MAX_ORACLE_BOUND)
     if m < 1:
         raise ValueError("degree must be positive")
     if not arith.is_prime(p):
         raise ValueError("characteristic must be prime, got %d" % p)
     q = p ** m
-    if q > bound:
-        raise BoundError("field size %d exceeds the oracle bound %d" % (q, bound))
+    if q > MAX_ORACLE_BOUND:
+        raise BoundError("field size %d exceeds the oracle bound %d"
+                         % (q, MAX_ORACLE_BOUND))
     key = (p, m)
     if key in _FIELD_CACHE:
         return _FIELD_CACHE[key]
@@ -211,7 +210,6 @@ class CurveModel:
     a3: int
     a4: int
     a6: int
-    discriminant: int = dc_field(init=False)
 
     def __post_init__(self):
         F = self.field
@@ -232,7 +230,6 @@ class CurveModel:
                   F.smul(9, F.mul(F.mul(b2, b4), b6))))
         if disc == 0:
             raise ValueError("singular curve")
-        object.__setattr__(self, "discriminant", disc)
 
 
 @dataclass(frozen=True)
@@ -356,17 +353,6 @@ def _points(curve):
                     ys = [F.mul(b, w), F.add(F.mul(b, w), b)]
         pts.extend((x, y) for y in ys)
     return pts
-
-
-def on_curve(curve, P):
-    """Check the curve equation at a point; the identity always passes."""
-    if P is None:
-        return True
-    F = curve.field
-    x, y = P
-    lhs = F.add(F.mul(y, y), F.add(F.mul(F.mul(curve.a1, x), y), F.mul(curve.a3, y)))
-    rhs = F.add(F.mul(F.add(F.mul(F.add(x, curve.a2), x), curve.a4), x), curve.a6)
-    return lhs == rhs
 
 
 def _exponent_candidates(N, weil=None):
@@ -676,7 +662,7 @@ def _families(field):
              lambda sel: (_badd_odd, (T, sel[0][:, None], sel[1][:, None])))]
 
 
-def realized_shapes(q, bound=None):
+def realized_shapes(q):
     """Set of group shapes attained by curves over the q-element field.
 
     The shape is an isomorphism invariant, so only the Weierstrass normal
@@ -694,19 +680,13 @@ def realized_shapes(q, bound=None):
       s^2 + s to a2, y -> y + t adds t^2 + a3 t to a6, then scale.
 
     Singular forms are dropped. The result is the ground-truth atlas entry
-    for q. Raises BoundError beyond the configured oracle bound.
+    for q. Raises BoundError for q > MAX_ORACLE_BOUND, through build_field.
     """
-    if bound is None:
-        bound = DEFAULT_ORACLE_BOUND
-    if bound > MAX_ORACLE_BOUND:
-        raise ValueError("bound may not exceed %d" % MAX_ORACLE_BOUND)
     if q < 2:
         raise ValueError("q must be at least 2")
     decomp = arith.prime_power_decompose(q)
     if decomp is None:
         raise ValueError("%d is not a prime power" % q)
-    if q > bound:
-        raise BoundError("q=%d exceeds the oracle bound %d" % (q, bound))
     field = build_field(*decomp)
     shapes = set()
     for rows, make_pts, make_add_args in _families(field):
@@ -733,7 +713,7 @@ def predicted_shapes(q):
     return out
 
 
-def atlas(q, bound=None):
+def atlas(q):
     """JSON-ready atlas entry: {"q": q, "shapes": [[n, k], ...]} sorted."""
-    shapes = realized_shapes(q, bound=bound)
+    shapes = realized_shapes(q)
     return {"q": q, "shapes": [[s.n, s.k] for s in sorted(shapes, key=lambda s: (s.n, s.k))]}

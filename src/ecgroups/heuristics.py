@@ -21,7 +21,6 @@ import numpy as np
 from . import arith, counting
 
 ZETA3_TERMS = 10 ** 7
-DEFAULT_C_BOUND = 10 ** 5
 
 
 @dataclass(frozen=True)
@@ -71,7 +70,7 @@ def vartheta(n, k, clamp=True):
     """
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive")
-    w = arith.isqrt(4 * k)
+    w = math.isqrt(4 * k)
     out = 1.0
     for ell in range(-w, w + 1):
         f = 1.0 - rho(n, k, ell)
@@ -96,7 +95,7 @@ def b_grid(N, K):
     cells = np.zeros((N + 1, K + 1))
     factors = np.empty(N + 1)
     for k in range(1, K + 1):
-        w = arith.isqrt(4 * k)
+        w = math.isqrt(4 * k)
         prod = np.ones(N + 1)
         for ell in range(-w, w + 1):
             v = k * nn + ell * nvec + 1

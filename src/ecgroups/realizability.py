@@ -19,7 +19,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .arith import _check_range, candidate_bound, is_prime, isqrt, prime_power_decompose
+from .arith import _check_range, candidate_bound, is_prime, prime_power_decompose
 
 
 @dataclass(frozen=True)
@@ -116,25 +116,8 @@ def candidate_values(shape: GroupShape) -> list[tuple[int, int]]:
     n, k = shape.n, shape.k
     candidate_bound(n, k)
     base = k * n * n + 1
-    L = isqrt(4 * k)  # |l| <= 2 sqrt(k) as the exact predicate l^2 <= 4k
+    L = math.isqrt(4 * k)  # |l| <= 2 sqrt(k) as the exact predicate l^2 <= 4k
     return [(ell, base + ell * n) for ell in range(-L, L + 1) if base + ell * n >= 2]
-
-
-def _prime_power_candidates(shape: GroupShape):
-    """(l, (p, m)) for the prime-power candidate values, l ascending, decomposed lazily."""
-    for ell, v in candidate_values(shape):
-        d = prime_power_decompose(v)
-        if d is not None:
-            yield ell, d
-
-
-def candidate_prime_powers(shape: GroupShape) -> list[tuple[int, tuple[int, int]]]:
-    """The candidate field sizes for `shape`: prime powers among its values.
-
-    Returns (l, (p, m)) pairs ascending in l; these are the only q over which
-    the shape can possibly be realized.
-    """
-    return list(_prime_power_candidates(shape))
 
 
 def _k_is_power_of(k: int, p: int) -> bool:
@@ -186,13 +169,15 @@ def smallest_prime_witness(shape: GroupShape) -> int | None:
 def smallest_prime_power_witness(shape: GroupShape) -> Witness | None:
     """Witness over the smallest q realizing the shape, or None.
 
-    Candidates are decomposed one at a time and the search stops at the
-    first realizing q.
+    Only prime-power candidate values can be field sizes. They are
+    decomposed one at a time and the search stops at the first realizing q.
     """
-    for _, (p, m) in _prime_power_candidates(shape):
-        w = shape_realizable_over(p ** m, shape, _decomp=(p, m))
-        if w is not None:
-            return w
+    for _, q in candidate_values(shape):
+        d = prime_power_decompose(q)
+        if d is not None:
+            w = shape_realizable_over(q, shape, _decomp=d)
+            if w is not None:
+                return w
     return None
 
 
@@ -209,7 +194,7 @@ def square_witness_primes(shape: GroupShape) -> list[int]:
     """
     out = []
     for _, v in candidate_values(shape):
-        r = isqrt(v)
+        r = math.isqrt(v)
         if r * r == v and is_prime(r):
             out.append(r)
     return out
@@ -217,5 +202,5 @@ def square_witness_primes(shape: GroupShape) -> list[int]:
 
 def hasse_window(q: int) -> tuple[int, int]:
     """Inclusive range of curve orders over F_q: |q + 1 - N| <= 2 sqrt(q)."""
-    w = isqrt(4 * q)
+    w = math.isqrt(4 * q)
     return q + 1 - w, q + 1 + w

@@ -18,7 +18,8 @@ import math
 from dataclasses import dataclass
 
 from . import arith
-from .realizability import GroupShape, shape_realizable_over
+from .realizability import (GroupShape, shape_realizable_over, smallest_prime_power_witness,
+                            smallest_prime_witness)
 
 DEFAULT_DEGREE_MAX = 40
 DEFAULT_Q_MAX = 10 ** 12
@@ -75,7 +76,7 @@ class FixedDegreeWitness:
 
 
 def _scan_degree_one(k, T, require_realizable):
-    w = arith.isqrt(4 * k)
+    w = math.isqrt(4 * k)
     out = []
     for n in range(1, T + 1):
         nn = n * n
@@ -101,7 +102,7 @@ def _prime_power_hits(m, k, primes):
     """
     for p in primes:
         q1 = p ** m - 1
-        c = arith.isqrt(q1 // k)
+        c = math.isqrt(q1 // k)
         for n in range(c + 2, max(c - 1, 0), -1):
             if q1 % n == 0:
                 ell = q1 // n - k * n
@@ -152,16 +153,16 @@ def degree_two_classify(k):
     if k < 1:
         raise ValueError("k must be positive")
     if k >= 2:
-        r = arith.isqrt(k - 1)
+        r = math.isqrt(k - 1)
         if r * r == k - 1 and r % 4 == 1 and arith.is_prime(r):
             return ExceptionalClass(DegreeTwoTag.PRIME_SQUARE_PLUS_ONE, p=r)
     disc = 4 * k - 3
-    r = arith.isqrt(disc)
+    r = math.isqrt(disc)
     if r * r == disc:
         for p, sign in (((r - 1) // 2, 1), ((r + 1) // 2, -1)):
             if p >= 2 and p % 3 == 1 and p * p + sign * p + 1 == k and arith.is_prime(p):
                 return ExceptionalClass(DegreeTwoTag.PRIME_QUADRATIC, p=p, sign=sign)
-    h = arith.isqrt(k)
+    h = math.isqrt(k)
     if h * h == k and h > 1:
         return ExceptionalClass(DegreeTwoTag.PERFECT_SQUARE, h=h)
     return ExceptionalClass(DegreeTwoTag.NOT_EXCEPTIONAL)
@@ -203,8 +204,7 @@ def high_degree_search(k, m_max=DEFAULT_DEGREE_MAX, q_max=DEFAULT_Q_MAX):
         raise ValueError("m_max must be at least 3")
     if q_max < 8:
         raise ValueError("q_max admits no cube")
-    if q_max > arith.LIMIT:
-        raise OverflowError("q_max exceeds the supported range")
+    arith._check_range(q_max, "q_max")
     # one sieve up to the cube root; degree m takes the prefix up to its m-th root
     primes = arith.primes_in_range(2, arith.iroot(q_max, 3)).tolist()
     found = []
@@ -319,7 +319,6 @@ def balanced_prime_power_only(T):
     """
     if T < 1:
         raise ValueError("T must be positive")
-    from .realizability import smallest_prime_power_witness, smallest_prime_witness
     members = []
     sufficient = []
     for n in range(1, T + 1):
@@ -364,13 +363,13 @@ def diophantine_solutions(form, m, x_max):
     for y in range(1, arith.iroot(fmax, m) + 1):
         t = y ** m
         if b == 0:
-            r = arith.isqrt(t - 1)
+            r = math.isqrt(t - 1)
             if r * r != t - 1:
                 continue
             roots = {r, -r}
         else:
             disc = 4 * t - 3
-            r = arith.isqrt(disc)
+            r = math.isqrt(disc)
             if r * r != disc:
                 continue
             roots = {(-b + r) // 2, (-b - r) // 2}

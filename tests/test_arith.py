@@ -164,18 +164,6 @@ def test_is_prime_batch_scalar_fallback_at_bound(monkeypatch):
     assert got.tolist() == [scalar(v) for v in wide + narrow]
 
 
-def test_isqrt():
-    assert arith.isqrt(0) == 0
-    assert arith.isqrt(15) == 3
-    assert arith.isqrt(16) == 4
-
-
-@given(st.integers(min_value=0, max_value=2 ** 64))
-def test_isqrt_bracket(x):
-    r = arith.isqrt(x)
-    assert r * r <= x < (r + 1) * (r + 1)
-
-
 @given(st.integers(min_value=0, max_value=2 ** 63 - 1), st.integers(min_value=1, max_value=64))
 def test_iroot_bracket(x, r):
     y = arith.iroot(x, r)
@@ -268,38 +256,6 @@ def test_primes_in_range_guards():
         arith.primes_in_range(10, 5)
     with pytest.raises(OverflowError):
         arith.primes_in_range(2, 2 ** 63)
-
-
-def test_pi_progression_fixed():
-    # direct sieve lists 5,13,17,29,37,41,53,61,73,89,97
-    assert arith.pi_progression(100, 4, 1) == 11
-    assert arith.pi_progression(1, 3, 1) == 0
-    assert arith.pi_progression(30, 5, 1) == 1
-    with pytest.raises(ValueError):
-        arith.pi_progression(100, 4, 2)
-
-
-def test_pi_progression_prime_powers():
-    # prime powers = 1 mod 4 up to 100: primes {5,...,97} plus 9, 25, 49, 81
-    base = arith.pi_progression(100, 4, 1)
-    assert arith.pi_progression(100, 4, 1, count_prime_powers=True) == base + 4
-    assert arith.pi_progression(10, 1, 0 + 1, count_prime_powers=True) == 4 + 3  # 2,3,5,7 + 4,8,9
-
-
-@given(st.integers(min_value=0, max_value=3000), st.integers(min_value=1, max_value=12))
-@settings(max_examples=60)
-def test_pi_progression_residue_sum(x, m):
-    total = sum(arith.pi_progression(x, m, a) for a in range(1, m + 1) if math.gcd(a, m) == 1)
-    primes = [p for p in range(2, x + 1) if trial_division_is_prime(p)]
-    assert total == len(primes) - sum(1 for p in primes if m % p == 0)
-
-
-@given(st.integers(min_value=0, max_value=2000), st.integers(min_value=1, max_value=10))
-@settings(max_examples=40)
-def test_progression_prime_powers_dominate(x, m):
-    a = 1  # always coprime
-    assert (arith.pi_progression(x, m, a, count_prime_powers=True)
-            >= arith.pi_progression(x, m, a))
 
 
 def test_euler_phi_fixed():

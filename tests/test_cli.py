@@ -233,6 +233,8 @@ def test_exit_codes(capsys):
     capsys.readouterr()
     assert cli.main(["oracle", "--qmax", "1000"]) == 3
     capsys.readouterr()
+    assert cli.main(["kk", "--k", "2", "--mmax", "63", "--qmax", str(2 ** 63)]) == 3
+    capsys.readouterr()
     assert cli.main(["check", "5"]) == 2
     capsys.readouterr()
 
@@ -265,6 +267,24 @@ def test_grid_payload_respects_address_space_limit():
                           timeout=120)
     assert proc.returncode == 3, proc.stderr
     assert "grid payload" in proc.stderr
+
+
+def test_npsum_respects_address_space_limit():
+    # under a 1.5 GB RLIMIT_AS both double sums are refused before any work:
+    # the progression sum's primes up to 8 * 10^9, and the direct sum's three
+    # int64 tables of 20000^2 cells, which used to die of MemoryError
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (15 * 10 ** 8, resource.RLIM_INFINITY))
+
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    for method, side in (("progression", "2000"), ("direct", "20000")):
+        proc = subprocess.run([sys.executable, "-m", "ecgroups.cli", "npsum", "--nmax", side,
+                               "--kmax", side, "--method", method],
+                              env=env, preexec_fn=cap, capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 3, (method, proc.stderr)
+        assert "sum's" in proc.stderr, method
 
 
 def test_benchmark_tracer_hooks(tmp_path):

@@ -76,7 +76,7 @@ def test_survey_matches_per_pair():
 def test_row_one_against_interval_sieve():
     spi, _ = membership_grid(1, 100)
     for k in range(1, 101):
-        w = arith.isqrt(4 * k)
+        w = math.isqrt(4 * k)
         ps = arith.primes_in_range(max(2, k - w + 1), k + w + 1)
         assert spi[1, k] == (len(ps) > 0)
 
@@ -207,12 +207,15 @@ def test_survey_independent_of_block_size(monkeypatch):
 
 def test_kernel_passes_over_base2_pseudoprimes(monkeypatch):
     # cells whose first base-2 strong probable prime, in ascending l, is a
-    # composite: the kernel must reject it and certify the cell's next one
+    # composite: the kernel must reject it and certify the cell's next one.
+    # In the lone cells that pseudoprime is the window's only survivor and no
+    # prime follows, so a kernel trusting the base-2 stage would admit them.
     K = 100
-    W = np.array([arith.isqrt(4 * k) for k in range(1, K + 1)])
+    lone = {(255, 1): 65281, (323, 1): 104653, (324, 1): 104653, (151, 55): 1252697}
+    W = np.array([math.isqrt(4 * k) for k in range(1, K + 1)])
     ell = np.arange(-W[-1], W[-1] + 1)
     traps = {}
-    for n in range(1, 81):
+    for n in [*range(1, 81), 151, 255, 323, 324]:
         v = np.arange(1, K + 1)[:, None] * n * n + ell * n + 1
         v[np.abs(ell) > W[:, None]] = 0
         maybe = arith.probable_prime_batch(v)
@@ -221,6 +224,7 @@ def test_kernel_passes_over_base2_pseudoprimes(monkeypatch):
             if not arith.is_prime(first):
                 traps[n, k + 1] = first
     assert len(traps) >= 3
+    assert lone.items() <= traps.items()
     rejected = set()
     certify = arith.certify_batch
 
@@ -230,18 +234,19 @@ def test_kernel_passes_over_base2_pseudoprimes(monkeypatch):
         return out
 
     monkeypatch.setattr(arith, "certify_batch", watched)
-    ctx = counting._SieveContext(80, K)
     ns = sorted({n for n, _ in traps})
-    assert np.array_equal(counting._row_kernel(ctx, ns), _predicate_rows(ns, K))
+    rows = counting._row_kernel(counting._SieveContext(ns[-1], K), ns)
+    assert np.array_equal(rows, _predicate_rows(ns, K))
+    assert not any(rows[ns.index(n), k] for n, k in lone)
     assert set(traps.values()) <= rejected
 
 
 def _dense_prime_power_marks(N, K):
     # the former implementation: every prime power against every n <= N
     vmax = arith.candidate_bound(N, K)
-    L = arith.isqrt(4 * K)
+    L = math.isqrt(4 * K)
     pps = []
-    for p in arith.primes_in_range(2, max(2, arith.isqrt(vmax))).tolist():
+    for p in arith.primes_in_range(2, max(2, math.isqrt(vmax))).tolist():
         q, j = p * p, 2
         while q <= vmax:
             pps.append((q, p, j))

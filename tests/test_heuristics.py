@@ -168,7 +168,7 @@ def test_bad_arguments():
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 60), st.integers(1, 60))
 def test_vartheta_matches_direct_product(n, k):
-    w = arith.isqrt(4 * k)
+    w = math.isqrt(4 * k)
     expected = 1.0
     for ell in range(-w, w + 1):
         v = k * n * n + ell * n + 1

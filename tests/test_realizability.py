@@ -8,7 +8,6 @@ from ecgroups import arith
 from ecgroups.realizability import (
     GroupShape,
     WaterhouseCase,
-    candidate_prime_powers,
     candidate_values,
     hasse_window,
     shape_realizable_over,
@@ -18,6 +17,16 @@ from ecgroups.realizability import (
     trace_admissible,
     witness_primes,
 )
+
+def prime_power_candidates(shape):
+    """(l, (p, m)) for the prime-power candidate values, l ascending."""
+    out = []
+    for ell, v in candidate_values(shape):
+        d = arith.prime_power_decompose(v)
+        if d is not None:
+            out.append((ell, d))
+    return out
+
 
 shapes = st.builds(GroupShape,
                    n=st.integers(min_value=1, max_value=300),
@@ -66,7 +75,7 @@ def test_admissible_cases_mutually_exclusive():
     for p in (2, 3, 5, 7, 13):
         for m in (1, 2, 3, 4):
             q = p ** m
-            w = arith.isqrt(4 * q)
+            w = math.isqrt(4 * q)
             for a in range(-w, w + 1):
                 held = [case for case, cond in (
                     (C.OrdinaryCoprime, math.gcd(a, p) == 1),
@@ -81,9 +90,9 @@ def test_admissible_cases_mutually_exclusive():
 
 
 def test_candidate_prime_powers_fixed():
-    assert candidate_prime_powers(GroupShape(11, 1)) == []
-    assert candidate_prime_powers(GroupShape(5, 1)) == [(-2, (2, 4)), (1, (31, 1))]
-    assert candidate_prime_powers(GroupShape(1, 1)) == [(0, (2, 1)), (1, (3, 1)), (2, (2, 2))]
+    assert prime_power_candidates(GroupShape(11, 1)) == []
+    assert prime_power_candidates(GroupShape(5, 1)) == [(-2, (2, 4)), (1, (31, 1))]
+    assert prime_power_candidates(GroupShape(1, 1)) == [(0, (2, 1)), (1, (3, 1)), (2, (2, 2))]
 
 
 def test_candidate_values_window():
@@ -95,7 +104,9 @@ def test_candidate_values_window():
 
 def test_candidate_overflow_guard():
     with pytest.raises(OverflowError):
-        candidate_prime_powers(GroupShape(2 ** 31, 2 ** 31))
+        candidate_values(GroupShape(2 ** 31, 2 ** 31))
+    with pytest.raises(OverflowError):
+        smallest_prime_power_witness(GroupShape(2 ** 31, 2 ** 31))
 
 
 def test_shape_realizable_over_fixed():
@@ -150,7 +161,7 @@ def test_square_witness_primes_fixed():
 def test_missed_pair_candidates_have_no_admissible_route():
     # (15,4): the only candidate prime powers are 29^2 and 31^2 and both force
     # the full-square case with k not a characteristic power
-    cands = candidate_prime_powers(GroupShape(15, 4))
+    cands = prime_power_candidates(GroupShape(15, 4))
     assert [(ell, p, m) for ell, (p, m) in cands] == [(-4, 29, 2), (4, 31, 2)]
     assert smallest_prime_power_witness(GroupShape(15, 4)) is None
 
@@ -180,7 +191,7 @@ def test_prime_witness_head_consistency(s):
 def test_smallest_witness_is_first_realizing_candidate(s):
     # the lazy search must stop exactly where the full candidate list first realizes
     first = None
-    for _, (p, m) in candidate_prime_powers(s):
+    for _, (p, m) in prime_power_candidates(s):
         first = shape_realizable_over(p ** m, s, _decomp=(p, m))
         if first is not None:
             break
@@ -204,7 +215,7 @@ def test_square_witness_count_bound_exhaustive():
             ps = square_witness_primes(GroupShape(n, k))
             if len(ps) <= 1:
                 continue
-            h = arith.isqrt(k)
+            h = math.isqrt(k)
             if n == 1 and 4 <= k <= 9:
                 assert ps == [2, 3]
             else:

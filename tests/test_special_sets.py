@@ -84,7 +84,7 @@ def test_degree_one_sets_agree():
 
 def _reference_n_set(m, k, T, realizable):
     """Literal per-n scan through prime-power decomposition."""
-    w = arith.isqrt(4 * k)
+    w = math.isqrt(4 * k)
     out = []
     for n in range(1, T + 1):
         hit = False
@@ -179,16 +179,16 @@ def test_degree_two_families_exclusive():
     # independent predicates; each k matches at most one family
     for k in range(1, 3001):
         fam = 0
-        r = arith.isqrt(k - 1) if k >= 2 else 0
+        r = math.isqrt(k - 1) if k >= 2 else 0
         if k >= 2 and r * r == k - 1 and arith.is_prime(r) and r % 4 == 1:
             fam += 1
         hit2 = False
-        for p in range(2, arith.isqrt(k) + 2):
+        for p in range(2, math.isqrt(k) + 2):
             if arith.is_prime(p) and p % 3 == 1:
                 if p * p + p + 1 == k or p * p - p + 1 == k:
                     hit2 = True
         fam += hit2
-        h = arith.isqrt(k)
+        h = math.isqrt(k)
         if h * h == k and h > 1:
             fam += 1
         assert fam <= 1
@@ -347,6 +347,8 @@ def test_bad_arguments():
         ss.high_degree_search(2, m_max=2)
     with pytest.raises(OverflowError):
         ss.high_degree_search(2, q_max=arith.LIMIT + 1)
+    with pytest.raises(OverflowError):
+        ss.high_degree_search(2, q_max=arith.LIMIT)
     with pytest.raises(ValueError):
         ss.fixed_degree_witness(0, 1)
     with pytest.raises(ValueError):
@@ -358,7 +360,7 @@ def test_bad_arguments():
     with pytest.raises(ValueError):
         ss.diophantine_solutions("x^2+1", 0, 10)
     with pytest.raises(OverflowError):
-        ss.diophantine_solutions("x^2+1", 3, arith.isqrt(arith.LIMIT) + 5)
+        ss.diophantine_solutions("x^2+1", 3, math.isqrt(arith.LIMIT) + 5)
     with pytest.raises(OverflowError):
         ss.candidate_n_set(1, 1, 4 * 10 ** 9)
 
@@ -370,7 +372,7 @@ def test_sets_random(m, k, T):
     real = ss.realizable_n_set(m, k, T)
     assert set(real) <= set(cand)
     assert cand == sorted(set(cand))
-    w = arith.isqrt(4 * k)
+    w = math.isqrt(4 * k)
     for n in cand:
         assert any(
             (d := arith.prime_power_decompose(k * n * n + ell * n + 1)) is not None
