@@ -381,12 +381,11 @@ def f_series(d_max, step=1, workers=None, resume=None, checkpoint_seconds=30.0):
             last_write = time.monotonic()
     if resume is not None:
         _write_checkpoint(resume, d_max, step, d_max, missed)
-    tops = sorted(max(s.n, s.k) for s in missed)
-    out = []
-    for D in range(step, d_max + 1, step):
-        f = int(np.searchsorted(tops, D, side="right")) if tops else 0
-        out.append(SeriesPoint(D, f))
-    return out
+    tops = np.fromiter((max(s.n, s.k) for s in missed), dtype=np.int64, count=len(missed))
+    tops.sort()
+    Ds = np.arange(step, d_max + 1, step)
+    return [SeriesPoint(D, f) for D, f in
+            zip(Ds.tolist(), np.searchsorted(tops, Ds, side="right").tolist())]
 
 
 # ---------------------------------------------------------------------------

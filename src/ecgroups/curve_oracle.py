@@ -11,8 +11,10 @@ Two independent code paths coexist on purpose. The scalar path
 Weierstrass families with the fully general long Weierstrass addition
 law, one point at a time. The vectorized path inside realized_shapes
 walks only the Weierstrass normal forms, one curve or more per
-isomorphism class, with numpy lane arithmetic and per-family
-specializations. The test suite checks them against each other.
+isomorphism class, with numpy lane arithmetic: one point listing for every
+form, and two addition laws chosen by the characteristic, one for odd p
+(where a1 = a3 = 0) and one xor-based law for p = 2. The test suite checks
+them against each other.
 """
 
 from __future__ import annotations
@@ -109,7 +111,7 @@ class FiniteField:
             T["W0H"][images] = first
             T["SQRT2"] = np.zeros(q, dtype=np.int64)
             T["SQRT2"][SQ] = X
-            T["SQ"], T["X3"], T["INVSQ"] = SQ, MUL[X, SQ], INV[SQ]
+            T["SQ"], T["INVSQ"] = SQ, INV[SQ]
             self._sqrt2 = T["SQRT2"].tolist()
             self._h0root = [w if h else None
                             for w, h in zip(T["W0H"].tolist(), T["H0"].tolist())]
@@ -414,7 +416,39 @@ def _tables(field):
     return field._np
 
 
-# --- lane-parallel addition, one specialization per family ---
+# --- lane-parallel points and addition ---
+
+def _lane_points(T, rows):
+    """Affine points of every curve of rows, two lanes per abscissa.
+
+    rows is an (a1, a2, a3, a4, a6) tuple of coefficient arrays. At each x
+    the curve reads y^2 + b y = c with b = a1 x + a3 and
+    c = x^3 + a2 x^2 + a4 x + a6; lanes x and q + x hold its roots, flagged
+    where they exist.
+    """
+    MUL, ADD, NEG = T["MUL"], T["ADD"], T["NEG"]
+    a1, a2, a3, a4, a6 = (r[:, None] for r in rows)
+    X = T["X"][None, :]
+    c = ADD[MUL[ADD[MUL[ADD[X, a2], X], a4], X], a6]
+    b = ADD[MUL[a1, X], a3]
+    if T["p"] != 2:
+        # (y + h)^2 = c + h^2 with h = b / 2
+        h = MUL[b, T["INV"][T["e2"]]]
+        g = ADD[c, MUL[h, h]]
+        z = T["R1"][g]
+        y0, y1 = ADD[z, NEG[h]], NEG[ADD[z, h]]
+        f0, f1 = T["CHI"][g] >= 0, T["CHI"][g] == 1
+    else:
+        # b = 0: the one root sqrt(c); else b w and b w + b, w^2 + w = c / b^2
+        s = MUL[c, T["INVSQ"][b]]
+        y0 = np.where(b == 0, T["SQRT2"][c], MUL[b, T["W0H"][s]])
+        y1 = y0 ^ b
+        f0 = (b == 0) | T["H0"][s]
+        f1 = (b != 0) & T["H0"][s]
+    bx = np.broadcast_to(X, c.shape)
+    return (np.concatenate([bx, bx], axis=1), np.concatenate([y0, y1], axis=1),
+            np.concatenate([f0, f1], axis=1))
+
 
 def _lane_merge(P, Q, both, cancel, x3, y3):
     """Per lane: (x3, y3) where both points are present and do not cancel,
@@ -428,9 +462,10 @@ def _lane_merge(P, Q, both, cancel, x3, y3):
     return rx, ry, rf
 
 
-def _badd_odd(T, a2c, a4c, P, Q):
+def _badd_odd(T, a, P, Q):
     """p > 2, a1 = a3 = 0: y^2 = x^3 + a2 x^2 + a4 x + a6."""
     MUL, ADD, NEG, INV = T["MUL"], T["ADD"], T["NEG"], T["INV"]
+    _, a2, _, a4, _ = a
     x1, y1, f1 = P
     x2, y2, f2 = Q
     both = f1 & f2
@@ -442,48 +477,32 @@ def _badd_odd(T, a2c, a4c, P, Q):
     den = MUL[T["e2"], y1]
     if np.any(dbl & (den == 0)):
         raise RuntimeError("tangent at a two-torsion point slipped the cancel mask")
-    num = ADD[ADD[MUL[T["e3"], MUL[x1, x1]], MUL[MUL[T["e2"], a2c], x1]], a4c]
+    num = ADD[ADD[MUL[T["e3"], MUL[x1, x1]], MUL[MUL[T["e2"], a2], x1]], a4]
     lam = np.where(dbl, MUL[num, INV[den]], lam_a)
-    x3 = ADD[MUL[lam, lam], NEG[ADD[a2c, ADD[x1, x2]]]]
+    x3 = ADD[MUL[lam, lam], NEG[ADD[a2, ADD[x1, x2]]]]
     y3 = ADD[MUL[lam, ADD[x1, NEG[x3]]], NEG[y1]]
     return _lane_merge(P, Q, both, cancel, x3, y3)
 
 
-def _badd_c2A(T, a2c, P, Q):
-    """p = 2 ordinary family: y^2 + xy = x^3 + a2 x^2 + a6."""
+def _badd_c2(T, a, P, Q):
+    """p = 2: y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6, adding by xor."""
     MUL, INV = T["MUL"], T["INV"]
+    a1, a2, a3, a4, _ = a
     x1, y1, f1 = P
     x2, y2, f2 = Q
     both = f1 & f2
     eqx = both & (x1 == x2)
-    cancel = eqx & (y2 == (y1 ^ x1))
+    den = MUL[a1, x1] ^ a3
+    cancel = eqx & (y2 == (y1 ^ den))
     dbl = eqx & ~cancel
-    if np.any(dbl & (x1 == 0)):
-        raise RuntimeError("doubling at the two-torsion abscissa slipped the mask")
+    if np.any(dbl & (den == 0)):
+        raise RuntimeError("tangent at a two-torsion point slipped the cancel mask")
 
     lam_a = MUL[y1 ^ y2, INV[x1 ^ x2]]
-    lam_d = MUL[MUL[x1, x1] ^ y1, INV[x1]]
+    lam_d = MUL[MUL[x1, x1] ^ a4 ^ MUL[a1, y1], INV[den]]
     lam = np.where(dbl, lam_d, lam_a)
-    x3 = MUL[lam, lam] ^ lam ^ a2c ^ x1 ^ x2
-    y3 = MUL[lam ^ 1, x3] ^ y1 ^ MUL[lam, x1]
-    return _lane_merge(P, Q, both, cancel, x3, y3)
-
-
-def _badd_c2B(T, a3c, a4c, P, Q):
-    """p = 2 supersingular family: y^2 + a3 y = x^3 + a4 x + a6."""
-    MUL, INV = T["MUL"], T["INV"]
-    x1, y1, f1 = P
-    x2, y2, f2 = Q
-    both = f1 & f2
-    eqx = both & (x1 == x2)
-    cancel = eqx & (y2 == (y1 ^ a3c))
-    dbl = eqx & ~cancel
-
-    lam_a = MUL[y1 ^ y2, INV[x1 ^ x2]]
-    lam_d = MUL[MUL[x1, x1] ^ a4c, INV[a3c]]
-    lam = np.where(dbl, lam_d, lam_a)
-    x3 = MUL[lam, lam] ^ x1 ^ x2
-    y3 = MUL[lam, x3] ^ y1 ^ MUL[lam, x1] ^ a3c
+    x3 = MUL[lam, lam] ^ MUL[a1, lam] ^ a2 ^ x1 ^ x2
+    y3 = MUL[lam ^ a1, x3] ^ y1 ^ MUL[lam, x1] ^ a3
     return _lane_merge(P, Q, both, cancel, x3, y3)
 
 
@@ -500,72 +519,23 @@ def _bsmul(addf, args, e, P):
     return acc
 
 
-# --- lane-parallel point listings ---
-
-def _pts_odd(T, a2r, a4r, a6r):
-    MUL, ADD, NEG = T["MUL"], T["ADD"], T["NEG"]
-    X = T["X"][None, :]
-    t = ADD[X, a2r[:, None]]
-    t = ADD[MUL[t, X], a4r[:, None]]
-    C = ADD[MUL[t, X], a6r[:, None]]
-    chi = T["CHI"][C]
-    r1 = T["R1"][C]
-    v1 = chi == 1
-    y0 = np.where(C == 0, 0, r1)
-    v0 = v1 | (C == 0)
-    bx = np.broadcast_to(X, C.shape)
-    x = np.concatenate([bx, bx], axis=1)
-    y = np.concatenate([y0, NEG[r1]], axis=1)
-    f = np.concatenate([v0, v1], axis=1)
-    return x, y, f
-
-
-def _pts_c2A(T, a2r, a6r):
-    MUL = T["MUL"]
-    Xn = T["X"][1:]
-    c = Xn[None, :] ^ a2r[:, None] ^ MUL[a6r[:, None], T["INVSQ"][Xn][None, :]]
-    v = T["H0"][c]
-    y0 = MUL[Xn[None, :], T["W0H"][c]]
-    bx = np.broadcast_to(Xn[None, :], c.shape)
-    R = a2r.shape[0]
-    zero = np.zeros((R, 1), dtype=np.int64)
-    x = np.concatenate([zero, bx, bx], axis=1)
-    y = np.concatenate([T["SQRT2"][a6r][:, None], y0, y0 ^ bx], axis=1)
-    f = np.concatenate([np.ones((R, 1), dtype=bool), v, v], axis=1)
-    return x, y, f
-
-
-def _pts_c2B(T, a3r, a4r, a6r):
-    # y^2 + a3 y = C has the roots a3 w and a3 (w + 1), where w^2 + w = C / a3^2
-    MUL = T["MUL"]
-    X = T["X"][None, :]
-    a3c = a3r[:, None]
-    C = T["X3"][None, :] ^ MUL[a4r[:, None], X] ^ a6r[:, None]
-    c = MUL[C, T["INVSQ"][a3c]]
-    v = T["H0"][c]
-    y0 = MUL[a3c, T["W0H"][c]]
-    bx = np.broadcast_to(X, C.shape)
-    x = np.concatenate([bx, bx], axis=1)
-    y = np.concatenate([y0, y0 ^ a3c], axis=1)
-    f = np.concatenate([v, v], axis=1)
-    return x, y, f
-
-
-def _resolve_class(field, Nval, rows, make_pts, make_add_args):
+def _resolve_class(field, Nval, rows):
     """Exponent of every curve in one order class, by lane exhaustion.
 
-    rows is a tuple of coefficient arrays. Each curve is assigned the
-    smallest candidate d2 annihilating all of its points; candidates come
-    from group theory alone, and the unit-group divisibility for d1 is
-    verified afterwards rather than assumed.
+    rows is an (a1, a2, a3, a4, a6) tuple of coefficient arrays. Each curve
+    is assigned the smallest candidate d2 annihilating all of its points;
+    candidates come from group theory alone, and the unit-group
+    divisibility for d1 is verified afterwards rather than assumed.
     """
     q = field.q
+    T = _tables(field)
+    addf = _badd_c2 if field.p == 2 else _badd_odd
     candidates = _exponent_candidates(Nval)
     shapes = set()
     R = rows[0].shape[0]
     for lo in range(0, R, _RESOLVE_CHUNK):
         sel = tuple(r[lo:lo + _RESOLVE_CHUNK] for r in rows)
-        pts = make_pts(sel)
+        pts = _lane_points(T, sel)
         if not np.all(pts[2].sum(axis=1) == Nval - 1):
             raise RuntimeError("point listing disagrees with the order count")
         nrows = sel[0].shape[0]
@@ -574,10 +544,8 @@ def _resolve_class(field, Nval, rows, make_pts, make_add_args):
         for e in candidates:
             if alive.size == 0:
                 break
-            sub_sel = tuple(r[alive] for r in sel)
-            sub_pts = tuple(a[alive] for a in pts)
-            addf, args = make_add_args(sub_sel)
-            S = _bsmul(addf, args, e, sub_pts)
+            coeffs = tuple(r[alive, None] for r in sel)
+            S = _bsmul(addf, (T, coeffs), e, tuple(a[alive] for a in pts))
             killed = ~S[2].any(axis=1)
             expo[alive[killed]] = e
             alive = alive[~killed]
@@ -591,16 +559,18 @@ def _resolve_class(field, Nval, rows, make_pts, make_add_args):
     return shapes
 
 
-def _forced_or_resolve(field, fam_rows, N, make_pts, make_add_args, shapes):
-    """Split order classes into forced-cyclic and exhaustively resolved."""
+def _forced_or_resolve(field, rows, N):
+    """Shapes of the curves of rows, whose orders are N: classes with one
+    exponent candidate are forced cyclic, the rest resolved exhaustively."""
+    shapes = set()
     for Nval in np.unique(N).tolist():
         cand = _exponent_candidates(Nval)
         if len(cand) == 1:
             shapes.add(GroupShape(1, Nval))
             continue
         idx = np.nonzero(N == Nval)[0]
-        rows = tuple(r[idx] for r in fam_rows)
-        shapes |= _resolve_class(field, Nval, rows, make_pts, make_add_args)
+        shapes |= _resolve_class(field, Nval, tuple(r[idx] for r in rows))
+    return shapes
 
 
 def _coset_reps(T, d):
@@ -622,32 +592,30 @@ def _grid(*axes):
     return tuple(g.ravel() for g in np.meshgrid(*axes, indexing="ij"))
 
 
-def _families(field):
-    """(rows, make_pts, make_add_args) for each normal form of realized_shapes.
+def _normal_forms(field):
+    """(a1, a2, a3, a4, a6) arrays of both normal forms of realized_shapes.
 
-    rows are coefficient arrays holding at least one curve of every
-    isomorphism class over the field.
+    Together they hold a nonsingular curve of every isomorphism class over
+    the field, and no singular one.
     """
     T = _tables(field)
     X, MUL = T["X"], T["MUL"]
     if field.p == 2:
         delta = field._h0root.index(None)
-        a3, a4, t = _grid(_coset_reps(T, 3), X, [0, 1])
-        return [(_grid([0, delta], X[1:]),
-                 lambda sel: _pts_c2A(T, *sel),
-                 lambda sel: (_badd_c2A, (T, sel[0][:, None]))),
-                ((a3, a4, t * MUL[T["SQ"][a3], delta]),
-                 lambda sel: _pts_c2B(T, *sel),
-                 lambda sel: (_badd_c2B, (T, sel[0][:, None], sel[1][:, None])))]
+        a1, a2, a3, a4, t = _grid([0], [0], _coset_reps(T, 3), X, [0, 1])
+        forms = [_grid([1], [0, delta], [0], [0], X[1:]),
+                 (a1, a2, a3, a4, t * MUL[T["SQ"][a3], delta])]
+        return tuple(np.concatenate(c) for c in zip(*forms))
 
     if field.p == 3:
-        parts = [(_coset_reps(T, 2), [0], X), ([0], _coset_reps(T, 4), X)]
+        forms = [([0], _coset_reps(T, 2), [0], [0], X), ([0], [0], [0], _coset_reps(T, 4), X)]
     else:
-        parts = [([0], _coset_reps(T, 4), X), ([0], [0], _coset_reps(T, 6))]
-    a2r, a4r, a6r = (np.concatenate(c) for c in zip(*(_grid(*part) for part in parts)))
+        forms = [([0], [0], [0], _coset_reps(T, 4), X), ([0], [0], [0], [0], _coset_reps(T, 6))]
+    rows = tuple(np.concatenate(c) for c in zip(*(_grid(*form) for form in forms)))
 
     # discriminant with a1 = a3 = 0: b2 = 4 a2, b4 = 2 a4, b6 = 4 a6,
     # b8 = 4 a2 a6 - a4^2
+    _, a2r, _, a4r, a6r = rows
     ADD, NEG = T["ADD"], T["NEG"]
     e4, e8, e9, e27 = (field.emb(4), field.emb(8), field.emb(9), field.emb(27))
     b2 = MUL[e4, a2r]
@@ -657,9 +625,7 @@ def _families(field):
     disc = ADD[ADD[NEG[MUL[MUL[b2, b2], b8]], NEG[MUL[e8, MUL[MUL[b4, b4], b4]]]],
                ADD[NEG[MUL[e27, MUL[b6, b6]]], MUL[e9, MUL[MUL[b2, b4], b6]]]]
     good = disc != 0
-    return [((a2r[good], a4r[good], a6r[good]),
-             lambda sel: _pts_odd(T, *sel),
-             lambda sel: (_badd_odd, (T, sel[0][:, None], sel[1][:, None])))]
+    return tuple(r[good] for r in rows)
 
 
 def realized_shapes(q):
@@ -688,11 +654,9 @@ def realized_shapes(q):
     if decomp is None:
         raise ValueError("%d is not a prime power" % q)
     field = build_field(*decomp)
-    shapes = set()
-    for rows, make_pts, make_add_args in _families(field):
-        N = 1 + make_pts(rows)[2].sum(axis=1)
-        _forced_or_resolve(field, rows, N, make_pts, make_add_args, shapes)
-    return shapes
+    rows = _normal_forms(field)
+    N = 1 + _lane_points(_tables(field), rows)[2].sum(axis=1)
+    return _forced_or_resolve(field, rows, N)
 
 
 def predicted_shapes(q):

@@ -2,6 +2,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 from ecgroups import arith
@@ -16,8 +17,11 @@ from ecgroups.curve_oracle import (
     group_structure,
     predicted_shapes,
     realized_shapes,
+    _badd_c2,
+    _badd_odd,
     _coset_reps,
-    _families,
+    _lane_points,
+    _normal_forms,
     _point_add,
     _points,
     _scalar_mul,
@@ -348,20 +352,49 @@ def test_realized_matches_scalar_brute_force():
 
 
 def test_normal_form_lane_points_match_scalar_points():
-    # each lane listing of a normal-form row is the scalar point set of that curve
-    for p, m in [(2, 2), (2, 3), (2, 4), (3, 2), (13, 1)]:
+    # each lane listing of a normal-form row is the scalar point set of that
+    # curve: 32 and 64 hold both characteristic-2 forms at larger fields, 27
+    # has a2 != 0 in characteristic 3, and 13 and 49 have q = 1 mod 4
+    for p, m in [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (13, 1), (7, 2)]:
         F = build_field(p, m)
-        for rows, make_pts, _ in _families(F):
-            x, y, f = make_pts(rows)
-            for i, coeffs in enumerate(zip(*(r.tolist() for r in rows))):
-                if len(coeffs) == 2:
-                    a = (1, coeffs[0], 0, 0, coeffs[1])
-                elif p == 2:
-                    a = (0, 0) + coeffs
-                else:
-                    a = (0, coeffs[0], 0, coeffs[1], coeffs[2])
-                lanes = sorted(zip(x[i][f[i]].tolist(), y[i][f[i]].tolist()))
-                assert lanes == sorted(_points(CurveModel(F, *a))), (F.q, a)
+        rows = _normal_forms(F)
+        x, y, f = _lane_points(_tables(F), rows)
+        for i, a in enumerate(zip(*(r.tolist() for r in rows))):
+            lanes = sorted(zip(x[i][f[i]].tolist(), y[i][f[i]].tolist()))
+            assert lanes == sorted(_points(CurveModel(F, *a))), (F.q, a)
+
+
+def test_lane_addition_matches_scalar_addition():
+    # every ordered pair of lanes of every normal-form row, the identity lane
+    # included, through the law realized_shapes picks for the characteristic;
+    # the pairs cover P = Q, P = -Q and two-torsion points
+    for p, m in [(2, 2), (2, 3), (2, 4), (3, 2), (13, 1), (5, 2)]:
+        F = build_field(p, m)
+        T = _tables(F)
+        addf = _badd_c2 if p == 2 else _badd_odd
+        rows = _normal_forms(F)
+        x, y, f = _lane_points(T, rows)
+        x, y, f = (np.concatenate([a, np.zeros_like(a[:, :1])], axis=1) for a in (x, y, f))
+        W = x.shape[1]
+        i, j = np.meshgrid(np.arange(W), np.arange(W), indexing="ij")
+        i, j = i.ravel(), j.ravel()
+        rx, ry, rf = addf(T, tuple(r[:, None] for r in rows),
+                          (x[:, i], y[:, i], f[:, i]), (x[:, j], y[:, j], f[:, j]))
+        seen = set()
+        for n, a in enumerate(zip(*(r.tolist() for r in rows))):
+            curve = CurveModel(F, *a)
+            lane = [(X, Y) if ok else None
+                    for X, Y, ok in zip(x[n].tolist(), y[n].tolist(), f[n].tolist())]
+            got = [(X, Y) if ok else None
+                   for X, Y, ok in zip(rx[n].tolist(), ry[n].tolist(), rf[n].tolist())]
+            for P, Q, S in zip((lane[k] for k in i), (lane[k] for k in j), got):
+                R = _point_add(curve, P, Q)
+                assert S == R, (F.q, a, P, Q)
+                if P is not None and Q is not None:
+                    seen.add("P = Q" if P == Q else "P = -Q" if R is None else "P + Q")
+                    if P == Q and R is None:
+                        seen.add("2-torsion")
+        assert seen == {"P = Q", "P = -Q", "P + Q", "2-torsion"}, (F.q, seen)
 
 
 def test_coset_reps_partition_units():
