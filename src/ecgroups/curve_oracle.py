@@ -12,9 +12,10 @@ Weierstrass families with the fully general long Weierstrass addition
 law, one point at a time. The vectorized path inside realized_shapes
 walks only the Weierstrass normal forms, one curve or more per
 isomorphism class, with numpy lane arithmetic: one point listing for every
-form, and two addition laws chosen by the characteristic, one for odd p
-(where a1 = a3 = 0) and one xor-based law for p = 2. The test suite checks
-them against each other.
+form, two addition laws chosen by the characteristic, one for odd p
+(where a1 = a3 = 0) and one xor-based law for p = 2, and one multiple
+chain per order class that reads off every curve's exponent. The test
+suite checks them against each other.
 """
 
 from __future__ import annotations
@@ -357,16 +358,14 @@ def _points(curve):
     return pts
 
 
-def _exponent_candidates(N, weil=None):
-    """Divisors of N that can be the large invariant factor d2.
+def _exponent_candidates(N, weil):
+    """Divisors e of N that can be the large invariant factor d2 of a curve
+    group whose small factor N/e divides weil, the unit group order q - 1.
 
-    Group theory alone forces (N/e) | e. When a unit group order is given,
-    candidates are additionally used largest-first as the early-exit target.
+    Group theory alone forces (N/e) | e; group_structure takes the largest
+    candidate as its early-exit target.
     """
-    out = [e for e in arith.divisors(N) if e % (N // e) == 0]
-    if weil is not None:
-        out = [e for e in out if weil % (N // e) == 0]
-    return out
+    return [e for e in arith.divisors(N) if e % (N // e) == 0 and weil % (N // e) == 0]
 
 
 def group_structure(curve):
@@ -507,65 +506,75 @@ def _badd_c2(T, a, P, Q):
 
 
 def _bsmul(addf, args, e, P):
-    x, y, f = P
-    acc = (np.zeros_like(x), np.zeros_like(y), np.zeros(f.shape, dtype=bool))
-    base = P
-    while e:
-        if e & 1:
-            acc = addf(*args, acc, base)
-        e >>= 1
-        if e:
-            base = addf(*args, base, base)
+    """e P for e >= 1, by top-down double-and-add starting from P."""
+    acc = P
+    for bit in bin(e)[3:]:
+        acc = addf(*args, acc, acc)
+        if bit == "1":
+            acc = addf(*args, acc, P)
     return acc
 
 
-def _resolve_class(field, Nval, rows):
-    """Exponent of every curve in one order class, by lane exhaustion.
+def _square_part(N):
+    """Largest m with m^2 | N: the small invariant factor d1 divides it."""
+    m = 1
+    for r, a in arith.factorize(N).items():
+        m *= r ** (a // 2)
+    return m
 
-    rows is an (a1, a2, a3, a4, a6) tuple of coefficient arrays. Each curve
-    is assigned the smallest candidate d2 annihilating all of its points;
-    candidates come from group theory alone, and the unit-group
-    divisibility for d1 is verified afterwards rather than assumed.
+
+def _resolve_class(field, Nval, rows):
+    """Exponent of every curve in one order class, by one multiple chain.
+
+    rows is an (a1, a2, a3, a4, a6) tuple of coefficient arrays. With m the
+    largest integer whose square divides N, a curve group is Z_d1 x Z_d2 with
+    d1 | m, so its exponent is d2 = (N/m) t for a divisor t of m. Each row's
+    N - 1 points are gathered into lanes and taken to Q = (N/m) P once. For
+    each prime power r^a exactly dividing m, the chain (m/r^a) Q, r times
+    that, ... up to m Q = N P gives the r-part of t as the first link that
+    is the identity on every point of the curve. A last link that is not,
+    or d1 = m/t failing to divide q - 1 or d2, signals an arithmetic bug.
     """
     q = field.q
     T = _tables(field)
     addf = _badd_c2 if field.p == 2 else _badd_odd
-    candidates = _exponent_candidates(Nval)
+    m = _square_part(Nval)
     shapes = set()
     R = rows[0].shape[0]
     for lo in range(0, R, _RESOLVE_CHUNK):
         sel = tuple(r[lo:lo + _RESOLVE_CHUNK] for r in rows)
-        pts = _lane_points(T, sel)
-        if not np.all(pts[2].sum(axis=1) == Nval - 1):
+        x, y, f = _lane_points(T, sel)
+        if not np.all(f.sum(axis=1) == Nval - 1):
             raise RuntimeError("point listing disagrees with the order count")
-        nrows = sel[0].shape[0]
-        expo = np.zeros(nrows, dtype=np.int64)
-        alive = np.arange(nrows)
-        for e in candidates:
-            if alive.size == 0:
-                break
-            coeffs = tuple(r[alive, None] for r in sel)
-            S = _bsmul(addf, (T, coeffs), e, tuple(a[alive] for a in pts))
-            killed = ~S[2].any(axis=1)
-            expo[alive[killed]] = e
-            alive = alive[~killed]
-        if alive.size:
-            raise RuntimeError("no divisor annihilates a curve group; arithmetic bug")
-        d1 = Nval // expo
-        if np.any((q - 1) % d1):
-            raise RuntimeError("invariant factor does not divide q - 1")
-        for a, b in zip(d1.tolist(), expo.tolist()):
+        keep = np.argsort(~f, axis=1, kind="stable")[:, :Nval - 1]
+        P = tuple(np.take_along_axis(a, keep, axis=1) for a in (x, y, f))
+        args = (T, tuple(r[:, None] for r in sel))
+        Q = _bsmul(addf, args, Nval // m, P)
+        t = np.ones(sel[0].shape[0], dtype=np.int64)
+        for r, a in arith.factorize(m).items():
+            S = _bsmul(addf, args, m // r ** a, Q)
+            part = np.zeros_like(t)
+            for j in range(a + 1):
+                if j:
+                    S = _bsmul(addf, args, r, S)
+                part[(part == 0) & ~S[2].any(axis=1)] = r ** j
+            if not part.all():
+                raise RuntimeError("no divisor annihilates a curve group; arithmetic bug")
+            t *= part
+        d1, d2 = m // t, Nval // m * t
+        if np.any((q - 1) % d1) or np.any(d2 % d1):
+            raise RuntimeError("invariant factors (d1, d2) are inconsistent at q=%d" % q)
+        for a, b in zip(d1.tolist(), d2.tolist()):
             shapes.add(GroupShape(a, b // a))
     return shapes
 
 
 def _forced_or_resolve(field, rows, N):
-    """Shapes of the curves of rows, whose orders are N: classes with one
-    exponent candidate are forced cyclic, the rest resolved exhaustively."""
+    """Shapes of the curves of rows, whose orders are N: classes whose order
+    has no square factor are forced cyclic, the rest resolved by lanes."""
     shapes = set()
     for Nval in np.unique(N).tolist():
-        cand = _exponent_candidates(Nval)
-        if len(cand) == 1:
+        if _square_part(Nval) == 1:
             shapes.add(GroupShape(1, Nval))
             continue
         idx = np.nonzero(N == Nval)[0]
@@ -610,7 +619,9 @@ def _normal_forms(field):
     if field.p == 3:
         forms = [([0], _coset_reps(T, 2), [0], [0], X), ([0], [0], [0], _coset_reps(T, 4), X)]
     else:
-        forms = [([0], [0], [0], _coset_reps(T, 4), X), ([0], [0], [0], [0], _coset_reps(T, 6))]
+        # where q = 1 mod 4, u^2 = -1 fixes a4 and negates a6
+        a6 = X[X <= T["NEG"]] if field.q % 4 == 1 else X
+        forms = [([0], [0], [0], _coset_reps(T, 4), a6), ([0], [0], [0], [0], _coset_reps(T, 6))]
     rows = tuple(np.concatenate(c) for c in zip(*(_grid(*form) for form in forms)))
 
     # discriminant with a1 = a3 = 0: b2 = 4 a2, b4 = 2 a4, b6 = 4 a6,
@@ -637,7 +648,9 @@ def realized_shapes(q):
     coset of the d-th powers in the unit group.
 
     - p > 3: y^2 = x^3 + r x + a6 (r in R_4) and y^2 = x^3 + b (b in R_6);
-      (x, y) -> (u^2 x, u^3 y) scales a2, a4, a6 by u^2, u^4, u^6.
+      (x, y) -> (u^2 x, u^3 y) scales a2, a4, a6 by u^2, u^4, u^6. Where
+      q = 1 mod 4, u^2 = -1 fixes r and negates a6, so the first form keeps
+      only the a6 with a6 <= -a6 as element indices.
     - p = 3: y^2 = x^3 + a2 x^2 + a6 (a2 in R_2) and y^2 = x^3 + a4 x + a6
       (a4 in R_4); x -> x + a4/a2 clears a4 when a2 != 0, then scale.
     - p = 2: y^2 + xy = x^3 + a2 x^2 + a6 (a2 in {0, delta}, a6 != 0) and

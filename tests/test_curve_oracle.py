@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from ecgroups import arith
+from ecgroups import arith, curve_oracle
 from ecgroups.curve_oracle import (
     MAX_ORACLE_BOUND,
     BoundError,
@@ -24,7 +24,9 @@ from ecgroups.curve_oracle import (
     _normal_forms,
     _point_add,
     _points,
+    _resolve_class,
     _scalar_mul,
+    _square_part,
     _tables,
 )
 from ecgroups.realizability import GroupShape
@@ -395,6 +397,47 @@ def test_lane_addition_matches_scalar_addition():
                     if P == Q and R is None:
                         seen.add("2-torsion")
         assert seen == {"P = Q", "P = -Q", "P + Q", "2-torsion"}, (F.q, seen)
+
+
+def test_resolve_class_matches_scalar_structure():
+    # every order class with a square factor, on a seeded sample of its
+    # normal-form rows, against the scalar path: m, the largest integer
+    # whose square divides N, reaches 4 (q = 32), 6 with two primes (q = 37
+    # at N = 36), 8 (q = 49) and 9 (q = 81), at p = 2, p > 3 and p = 3
+    rng = random.Random(17)
+    seen, split = set(), set()
+    for q in [32, 37, 49, 81]:
+        F = build_field(*arith.prime_power_decompose(q))
+        rows = _normal_forms(F)
+        N = 1 + _lane_points(_tables(F), rows)[2].sum(axis=1)
+        for Nval in np.unique(N).tolist():
+            m = _square_part(Nval)
+            if m == 1:
+                continue
+            seen.add(m)
+            idx = np.nonzero(N == Nval)[0].tolist()
+            pick = sorted(rng.sample(idx, min(24, len(idx))))
+            sub = tuple(r[pick] for r in rows)
+            brute = {group_structure(CurveModel(F, *a)).shape
+                     for a in zip(*(r.tolist() for r in sub))}
+            assert _resolve_class(F, Nval, sub) == brute, (q, Nval)
+            split |= {g.n for g in brute if g.n > 1}
+    assert {4, 6, 8, 9} <= seen and {2, 3, 4, 6} <= split
+
+
+@pytest.mark.parametrize("q, law", [(13, "_badd_odd"), (27, "_badd_odd"), (16, "_badd_c2")])
+def test_lane_law_that_never_reaches_identity_raises(monkeypatch, q, law):
+    # the last link of every chain is N P, which must be the identity on
+    # every lane; a law that never returns it must not yield a shape
+    real = getattr(curve_oracle, law)
+
+    def broken(T, a, P, Q):
+        x, y, f = real(T, a, P, Q)
+        return x, y, np.ones_like(f)
+
+    monkeypatch.setattr(curve_oracle, law, broken)
+    with pytest.raises(RuntimeError, match="annihilates"):
+        realized_shapes(q)
 
 
 def test_coset_reps_partition_units():
