@@ -11,8 +11,9 @@ prime-witness set when its window v = k n^2 + l n + 1, l^2 <= 4k, holds a
 prime. Each undecided cell screens its next few offsets l with the
 batched base-2 probable-prime test, certifies only its first survivor and
 drops out at its first prime, a block of rows at a time. Prime-power
-witnesses (q = p^j, j >= 2) are sparse and are merged in from a single
-global pass over the divisors n of q - 1.
+witnesses (q = p^j, j >= 2) are sparse and are merged in from one global
+pass: q = p^2 from the primes p with p^2 = 1 mod n, in numpy over chunks
+of rows, and higher powers from the divisors n of q - 1.
 """
 
 from __future__ import annotations
@@ -148,13 +149,51 @@ def _smallest_factors(limit):
     return spf
 
 
-def _spf_factor(spf, x, out):
-    """Add the factorization of 1 <= x <= len(spf) - 1 into the dict out."""
-    while x > 1:
-        p = spf[x]
-        x //= p
-        out[p] = out.get(p, 0) + 1
-    return out
+def _expand(starts, counts):
+    """(run, value) for the runs starts[i], starts[i] + 1, ...,
+    starts[i] + counts[i] - 1 laid end to end: each entry's run i and value."""
+    idx = np.repeat(np.arange(counts.size), counts)
+    ends = np.cumsum(counts)
+    return idx, np.arange(ends[-1] if ends.size else 0) - (ends - counts)[idx] + starts[idx]
+
+
+def _unit_square_roots(N):
+    """(count, roots): count[n] residues r mod n with r^2 = 1 mod n, and
+    roots holding those of n = 1, 2, ..., N in turn, unordered within n.
+
+    n = m p^e with p its smallest prime factor, read off the smallest-factor
+    table, combines each root of m by CRT with those of p^e: +-1 for odd p,
+    {1} mod 2, {1, 3} mod 4 and {+-1, 2^(e-1) +- 1} mod 2^e. m <= n / 2, so
+    the rows are built over [2^i, 2^(i+1)) in turn.
+    """
+    spf = _smallest_factors(N).astype(np.int64)
+    count = np.zeros(N + 1, dtype=np.int64)
+    count[1] = 1
+    roots = [np.zeros(1, dtype=np.int64)]
+    lo = 2
+    while lo <= N:
+        n = np.arange(lo, min(2 * lo, N + 1), dtype=np.int64)
+        p = spf[n]
+        m, pe = n // p, p.copy()
+        while (step := m % p == 0).any():
+            m[step] //= p[step]
+            pe[step] *= p[step]
+        per = np.where(p > 2, 2, np.minimum(pe // 2, 4))
+        own = np.stack([np.ones_like(pe), pe - 1, pe // 2 - 1, pe // 2 + 1], axis=1)
+        # m^-1 mod p^e as m^(phi(p^e) - 1), since gcd(m, p) = 1
+        inv, base, e = np.ones_like(pe), m % pe, pe // p * (p - 1) - 1
+        while e.any():
+            inv = np.where(e & 1, inv * base % pe, inv)
+            base, e = base * base % pe, e >> 1
+        first = np.cumsum(count[:lo]) - count[:lo]
+        found = np.concatenate(roots)
+        i, j = _expand(np.zeros_like(n), count[m] * per)
+        x = found[first[m[i]] + j // per[i]]
+        s = own[i, j % per[i]]
+        roots.append(x + m[i] * ((s - x) * inv[i] % pe[i]))
+        count[n] = count[m] * per
+        lo *= 2
+    return count, np.concatenate(roots)
 
 
 def _divisors_upto(fac, limit):
@@ -172,29 +211,68 @@ def _divisors_upto(fac, limit):
     return ds
 
 
+# The j = 2 pass takes _MARK_CANDIDATES // (isqrt(K) + 1) rows at a time, a
+# few times 2^12 candidate primes: at 1500^2 and 10000^2 that ran faster and
+# held less memory than chunks 4 or 16 times as large.
+_MARK_CANDIDATES = 1 << 12
+
+
 def _prime_power_marks(N, K):
     """All (n, k) in the rectangle witnessed by a proper prime power.
 
-    Enumerates q = p^j with j >= 2 up to the largest candidate, factors
-    q - 1 (for j = 2 as (p - 1)(p + 1) through a smallest-prime-factor
-    table), and for each divisor n <= N of q - 1 checks the few k whose
-    window can contain q through the full realizability predicate.
+    For q = p^2 a window of (n, k) holds q exactly when n | p^2 - 1 and
+    |p - n sqrt(k)| <= 1. So row n tries the primes p = r mod n, r^2 = 1
+    mod n, up to n sqrt(K) + 1, in numpy over chunks of rows, and takes
+    the k with (p - 1)^2 <= k n^2 <= (p + 1)^2. A trace a = p^2 + 1 - k n^2
+    prime to p is OrdinaryCoprime, which holds unconditionally; a = +-2p is
+    FullSquareTrace with k = ((p -+ 1)/n)^2 prime to p, which holds when
+    k = 1 only. The few other hits, and every q = p^j with j >= 3 (one
+    divisor walk of q - 1 each), go through the full realizability predicate.
     """
     vmax = arith.candidate_bound(N, K)
-    L = math.isqrt(4 * K)
     root = math.isqrt(vmax)
-    spf = memoryview(_smallest_factors(root + 1))
+    primes = arith.primes_in_range(2, root + 2)
+    sieve = np.zeros(root + 3, dtype=bool)
+    sieve[primes] = True
+    count, roots = _unit_square_roots(N)
+    ends = np.cumsum(count)
     marks = {}
-    for p in arith.primes_in_range(2, max(2, root)).tolist():
-        q, j = p * p, 2
+    per = max(1, _MARK_CANDIDATES // (math.isqrt(K) + 1))
+    for lo in range(1, N + 1, per):
+        hi = min(lo + per, N + 1)
+        n = np.repeat(np.arange(lo, hi, dtype=np.int64), count[lo:hi])
+        r = roots[ends[lo - 1]:ends[hi - 1]]
+        # p = r + t n over n - 1 <= p <= n sqrt(K) + 1
+        top = np.minimum((n * math.sqrt(K)).astype(np.int64) + 2, root + 2)
+        t0 = -((r - n + 1) // n)
+        idx, t = _expand(t0, np.maximum((top - r) // n - t0 + 1, 0))
+        n = n[idx]
+        p = r[idx] + t * n
+        keep = sieve[p]
+        n, p = n[keep], p[keep]
+        nn = n * n
+        k0 = np.maximum(1, ((p - 1) ** 2 + nn - 1) // nn)
+        idx, k = _expand(k0, np.maximum(np.minimum(K, (p + 1) ** 2 // nn) - k0 + 1, 0))
+        n, p, nn = n[idx], p[idx], nn[idx]
+        a = p * p + 1 - k * nn
+        full = np.abs(a) == 2 * p
+        sure = (a % p != 0) | (full & (k == 1))
+        # n ascends, so each row's k are one run
+        rows, start = np.unique(n[sure], return_index=True)
+        for n_, ks in zip(rows.tolist(), np.split(k[sure], start[1:])):
+            marks.setdefault(n_, set()).update(ks.tolist())
+        rest = ~sure & ~full
+        for n_, p_, k_ in zip(n[rest].tolist(), p[rest].tolist(), k[rest].tolist()):
+            if shape_realizable_over(p_ * p_, GroupShape(n_, k_), _decomp=(p_, 2)) is not None:
+                marks.setdefault(n_, set()).add(k_)
+
+    L = math.isqrt(4 * K)
+    for p in primes[:np.searchsorted(primes, arith.iroot(vmax, 3), side="right")].tolist():
+        q, j = p ** 3, 3
         while q <= vmax:
-            if j == 2:
-                fac = _spf_factor(spf, p + 1, _spf_factor(spf, p - 1, {}))
-            else:
-                fac = arith.factorize(q - 1)
             # a window holds q only if k n^2 - 2 sqrt(k) n <= q - 1 <= K n^2 + L n
             # for some k <= K, which needs n <= 1 + sqrt(q) and the right side
-            for n in _divisors_upto(fac, min(N, math.isqrt(q) + 1)):
+            for n in _divisors_upto(arith.factorize(q - 1), min(N, math.isqrt(q) + 1)):
                 if K * n * n + L * n < q - 1:
                     continue
                 s = (q - 1) // n
@@ -411,23 +489,30 @@ def witness_prime_sum_direct_grid(N, K):
     return cell.cumsum(axis=0).cumsum(axis=1)
 
 
-def _progression_rows(N, K):
-    """Yield (n, res, ps) for n <= N: the primes up to row n's largest
-    candidate, bucketed by residue mod n^2 and ready for bisection. One
-    sieve to the rectangle's largest candidate serves every row."""
+def _progression_rows(N, K, each):
+    """[each(n, res, ps) for n <= N], with ps the primes up to row n's
+    largest candidate bucketed by residue res mod n^2 and ready for
+    bisection. One sieve to the rectangle's largest candidate serves every
+    row, and a row's arrays are dropped before the next row's are built."""
     w = math.isqrt(4 * K)
     vmax = arith.candidate_bound(N, K)
-    # 8 bytes a prime times 8 copies: the sieve's, and a row's residues, order
-    # and bucketed arrays beside the previous row's (peak RSS 7.1-7.5 copies
-    # at vmax = 10^8 and 4 10^8); pi(x) < 1.25506 x / ln x for x > 1
-    # (Rosser and Schoenfeld 1962)
-    _require_memory(int(64 * 1.25506 * vmax / math.log(vmax)), "the progression sum's primes")
+    # 8 bytes a prime times 4 copies: the sieve's, and a row's residues and
+    # order or its bucketed arrays, with the sort's buffer (peak RSS 3.5 and
+    # 3.75 copies at vmax = 10^8 and 4 10^8); pi(x) < 1.25506 x / ln x for
+    # x > 1 (Rosser and Schoenfeld 1962)
+    _require_memory(int(32 * 1.25506 * vmax / math.log(vmax)), "the progression sum's primes")
     primes = arith.primes_in_range(2, vmax)
-    for n in range(1, N + 1):
-        ps = primes[:np.searchsorted(primes, K * n * n + w * n + 1, side="right")]
-        res = ps % (n * n)
-        order = np.lexsort((ps, res))
-        yield n, res[order], ps[order]
+    tops = np.searchsorted(primes, [K * n * n + w * n + 1 for n in range(1, N + 1)], side="right")
+    return [each(n, *_bucketed(primes[:top], n * n)) for n, top in enumerate(tops.tolist(), 1)]
+
+
+def _bucketed(ps, m):
+    """(res, ps) with the ascending primes ps stably sorted by residue res
+    mod m. Beside ps, at most two arrays of its length live at once."""
+    order = np.argsort(ps % m, kind="stable")
+    ps = ps[order]
+    del order
+    return ps % m, ps
 
 
 def _progression_count(res_sorted, ps_sorted, a, lo, hi):
@@ -459,15 +544,14 @@ def _progression_row(res, ps, n, K):
 
 def witness_prime_sum_progression(N, K):
     """The same double sum through progression prime counts, row by row."""
-    return sum(_progression_row(res, ps, n, K) for n, res, ps in _progression_rows(N, K))
+    return sum(_progression_rows(N, K, lambda n, res, ps: _progression_row(res, ps, n, K)))
 
 
 def witness_prime_sum_progression_grid(N, K):
     """Partial-sum grid for the progression evaluation."""
     out = np.zeros((N + 1, K + 1), dtype=np.int64)
-    for n, res, ps in _progression_rows(N, K):
-        for kp in range(1, K + 1):
-            out[n, kp] = _progression_row(res, ps, n, kp)
+    out[1:, 1:] = _progression_rows(N, K, lambda n, res, ps: [
+        _progression_row(res, ps, n, kp) for kp in range(1, K + 1)])
     return out.cumsum(axis=0)
 
 

@@ -668,7 +668,10 @@ def realized_shapes(q):
         raise ValueError("%d is not a prime power" % q)
     field = build_field(*decomp)
     rows = _normal_forms(field)
-    N = 1 + _lane_points(_tables(field), rows)[2].sum(axis=1)
+    T = _tables(field)
+    N = np.concatenate([
+        1 + _lane_points(T, tuple(r[lo:lo + _RESOLVE_CHUNK] for r in rows))[2].sum(axis=1)
+        for lo in range(0, rows[0].shape[0], _RESOLVE_CHUNK)])
     return _forced_or_resolve(field, rows, N)
 
 

@@ -270,8 +270,19 @@ def _dense_prime_power_marks(N, K):
 
 
 def test_prime_power_marks_match_dense():
-    for N, K in ((1, 1), (60, 40), (300, 300), (8000, 16), (1500, 1500)):
+    for N, K in ((1, 1), (60, 40), (300, 300), (8000, 16), (1500, 1500),
+                 (2000, 50), (50, 3000), (1, 3000), (3000, 1)):
         assert counting._prime_power_marks(N, K) == _dense_prime_power_marks(N, K), (N, K)
+
+
+def test_unit_square_roots_match_brute_force():
+    N = 2000
+    count, roots = counting._unit_square_roots(N)
+    ends = np.cumsum(count)
+    assert count[0] == 0 and ends[-1] == roots.size
+    for n in range(1, N + 1):
+        want = [r for r in range(n) if (r * r - 1) % n == 0]
+        assert sorted(roots[ends[n - 1]:ends[n]].tolist()) == want, n
 
 
 _REAL_POOL_BLOCK = counting._pool_block
