@@ -11,9 +11,9 @@ prime-witness set when its window v = k n^2 + l n + 1, l^2 <= 4k, holds a
 prime. Each undecided cell screens its next few offsets l with the
 batched base-2 probable-prime test, certifies only its first survivor and
 drops out at its first prime, a block of rows at a time. Prime-power
-witnesses (q = p^j, j >= 2) are sparse and are merged in from one global
-pass: q = p^2 from the primes p with p^2 = 1 mod n, in numpy over chunks
-of rows, and higher powers from the divisors n of q - 1.
+witnesses (q = p^j, j >= 2) are sparse and are merged in from one numpy
+pass over chunks of rows: q = p^2 from the primes p with p^2 = 1 mod n,
+and higher powers from one ascending table of p^j, its entries q = 1 mod n.
 """
 
 from __future__ import annotations
@@ -196,23 +196,8 @@ def _unit_square_roots(N):
     return count, np.concatenate(roots)
 
 
-def _divisors_upto(fac, limit):
-    """The divisors of prod p^e over fac that are at most limit, unordered."""
-    ds = [1]
-    for p, e in fac.items():
-        grown = []
-        for d in ds:
-            for _ in range(e):
-                d *= p
-                if d > limit:
-                    break
-                grown.append(d)
-        ds += grown
-    return ds
-
-
-# The j = 2 pass takes _MARK_CANDIDATES // (isqrt(K) + 1) rows at a time, a
-# few times 2^12 candidate primes: at 1500^2 and 10000^2 that ran faster and
+# Each chunk takes _MARK_CANDIDATES // (isqrt(K) + 1) rows, a few times 2^12
+# candidate primes p for q = p^2: at 1500^2 and 10000^2 that ran faster and
 # held less memory than chunks 4 or 16 times as large.
 _MARK_CANDIDATES = 1 << 12
 
@@ -220,27 +205,39 @@ _MARK_CANDIDATES = 1 << 12
 def _prime_power_marks(N, K):
     """All (n, k) in the rectangle witnessed by a proper prime power.
 
-    For q = p^2 a window of (n, k) holds q exactly when n | p^2 - 1 and
-    |p - n sqrt(k)| <= 1. So row n tries the primes p = r mod n, r^2 = 1
-    mod n, up to n sqrt(K) + 1, in numpy over chunks of rows, and takes
-    the k with (p - 1)^2 <= k n^2 <= (p + 1)^2. A trace a = p^2 + 1 - k n^2
-    prime to p is OrdinaryCoprime, which holds unconditionally; a = +-2p is
-    FullSquareTrace with k = ((p -+ 1)/n)^2 prime to p, which holds when
-    k = 1 only. The few other hits, and every q = p^j with j >= 3 (one
-    divisor walk of q - 1 each), go through the full realizability predicate.
+    A window of (n, k) holds q = p^j, j >= 2, exactly when n | q - 1 and
+    the trace a = q + 1 - k n^2 has |a| <= isqrt(4q). One numpy pass over
+    chunks of rows gathers each row's q: p^2 from the primes p = r mod n,
+    r^2 = 1 mod n, over n - 1 <= p <= n sqrt(K) + 1, and p^j with j >= 3
+    from one ascending table, its entries q = 1 mod n. One expansion then
+    takes every k of each. A trace prime to p is OrdinaryCoprime, which
+    holds unconditionally; for even j, a = +-2 p^(j/2) is FullSquareTrace
+    with k = ((p^(j/2) -+ 1)/n)^2 prime to p, which holds when k = 1 only.
+    The few other hits go through the full realizability predicate.
     """
     vmax = arith.candidate_bound(N, K)
+    L = math.isqrt(4 * K)
     root = math.isqrt(vmax)
     primes = arith.primes_in_range(2, root + 2)
     sieve = np.zeros(root + 3, dtype=bool)
     sieve[primes] = True
+    powers = []
+    for p in primes[:np.searchsorted(primes, arith.iroot(vmax, 3), side="right")].tolist():
+        q, j = p ** 3, 3
+        while q <= vmax:
+            powers.append((q, p, j, math.isqrt(4 * q)))
+            q *= p
+            j += 1
+    powers.sort()
+    tq, tp, tj, tw = np.array(powers, dtype=np.int64).reshape(-1, 4).T
     count, roots = _unit_square_roots(N)
     ends = np.cumsum(count)
     marks = {}
     per = max(1, _MARK_CANDIDATES // (math.isqrt(K) + 1))
     for lo in range(1, N + 1, per):
         hi = min(lo + per, N + 1)
-        n = np.repeat(np.arange(lo, hi, dtype=np.int64), count[lo:hi])
+        rows = np.arange(lo, hi, dtype=np.int64)
+        n = np.repeat(rows, count[lo:hi])
         r = roots[ends[lo - 1]:ends[hi - 1]]
         # p = r + t n over n - 1 <= p <= n sqrt(K) + 1
         top = np.minimum((n * math.sqrt(K)).astype(np.int64) + 2, root + 2)
@@ -250,39 +247,36 @@ def _prime_power_marks(N, K):
         p = r[idx] + t * n
         keep = sieve[p]
         n, p = n[keep], p[keep]
+        # row n's q lie in [(n - 1)^2, K n^2 + L n + 1]: the chunk tests the
+        # table over its rows' joint range (the top plus one, searched on the
+        # left), and a q outside its own row's range takes no k below
+        first, last = np.searchsorted(tq, [(lo - 1) ** 2,
+                                           K * (hi - 1) ** 2 + L * (hi - 1) + 2])
+        row, i = np.nonzero((tq[first:last] - 1) % rows[:, None] == 0)
+        i += first
+        n = np.concatenate([n, rows[row]])
+        q = np.concatenate([p * p, tq[i]])
+        w = np.concatenate([2 * p, tw[i]])
+        j = np.concatenate([np.full(p.size, 2), tj[i]])
+        p = np.concatenate([p, tp[i]])
+        # k n^2 within w = isqrt(4q) of q + 1: (p - 1)^2 <= k n^2 <= (p + 1)^2 for j = 2
         nn = n * n
-        k0 = np.maximum(1, ((p - 1) ** 2 + nn - 1) // nn)
-        idx, k = _expand(k0, np.maximum(np.minimum(K, (p + 1) ** 2 // nn) - k0 + 1, 0))
-        n, p, nn = n[idx], p[idx], nn[idx]
-        a = p * p + 1 - k * nn
-        full = np.abs(a) == 2 * p
+        k0 = np.maximum(1, (q - w + nn) // nn)
+        idx, k = _expand(k0, np.maximum(np.minimum(K, (q + 1 + w) // nn) - k0 + 1, 0))
+        n, q, w, j, p = n[idx], q[idx], w[idx], j[idx], p[idx]
+        a = q + 1 - k * n * n
+        full = (j % 2 == 0) & (np.abs(a) == w)
         sure = (a % p != 0) | (full & (k == 1))
-        # n ascends, so each row's k are one run
-        rows, start = np.unique(n[sure], return_index=True)
-        for n_, ks in zip(rows.tolist(), np.split(k[sure], start[1:])):
-            marks.setdefault(n_, set()).update(ks.tolist())
+        # p^2 and p^j each come in ascending n: a stable sort makes each row's
+        # k one run
+        order = np.argsort(n[sure], kind="stable")
+        runs, start = np.unique(n[sure][order], return_index=True)
+        for n_, run in zip(runs.tolist(), np.split(k[sure][order], start[1:])):
+            marks.setdefault(n_, set()).update(run.tolist())
         rest = ~sure & ~full
-        for n_, p_, k_ in zip(n[rest].tolist(), p[rest].tolist(), k[rest].tolist()):
-            if shape_realizable_over(p_ * p_, GroupShape(n_, k_), _decomp=(p_, 2)) is not None:
+        for n_, k_, q_, p_, j_ in zip(*(x[rest].tolist() for x in (n, k, q, p, j))):
+            if shape_realizable_over(q_, GroupShape(n_, k_), _decomp=(p_, j_)) is not None:
                 marks.setdefault(n_, set()).add(k_)
-
-    L = math.isqrt(4 * K)
-    for p in primes[:np.searchsorted(primes, arith.iroot(vmax, 3), side="right")].tolist():
-        q, j = p ** 3, 3
-        while q <= vmax:
-            # a window holds q only if k n^2 - 2 sqrt(k) n <= q - 1 <= K n^2 + L n
-            # for some k <= K, which needs n <= 1 + sqrt(q) and the right side
-            for n in _divisors_upto(arith.factorize(q - 1), min(N, math.isqrt(q) + 1)):
-                if K * n * n + L * n < q - 1:
-                    continue
-                s = (q - 1) // n
-                for k in range(max(1, (s - L) // n - 1), min(K, (s + L) // n + 1) + 1):
-                    ell = s - k * n
-                    if ell * ell <= 4 * k:
-                        if shape_realizable_over(q, GroupShape(n, k), _decomp=(p, j)) is not None:
-                            marks.setdefault(n, set()).add(k)
-            q *= p
-            j += 1
     return marks
 
 

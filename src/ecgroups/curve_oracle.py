@@ -358,23 +358,13 @@ def _points(curve):
     return pts
 
 
-def _exponent_candidates(N, weil):
-    """Divisors e of N that can be the large invariant factor d2 of a curve
-    group whose small factor N/e divides weil, the unit group order q - 1.
-
-    Group theory alone forces (N/e) | e; group_structure takes the largest
-    candidate as its early-exit target.
-    """
-    return [e for e in arith.divisors(N) if e % (N // e) == 0 and weil % (N // e) == 0]
-
-
 def group_structure(curve):
     """Order and invariant factors by exhausting the point set.
 
     The exponent d2 is the lcm of point orders; the scan stops early once
-    the lcm hits the largest d2 compatible with d1 dividing q - 1. Any
-    failure of the expected divisibilities signals an arithmetic bug and
-    raises RuntimeError.
+    that lcm reaches N, as the group is then cyclic. Any failure of the
+    expected divisibilities signals an arithmetic bug and raises
+    RuntimeError.
     """
     q = curve.field.q
     pts = _points(curve)
@@ -384,7 +374,6 @@ def group_structure(curve):
     if N == 1:
         return GroupStructure(1, 1, 1)
     primes = list(arith.factorize(N))
-    e_max = max(_exponent_candidates(N, weil=q - 1))
     lam = 1
     for P in pts:
         if _scalar_mul(curve, N, P) is not None:
@@ -394,7 +383,7 @@ def group_structure(curve):
             while o % r == 0 and _scalar_mul(curve, o // r, P) is None:
                 o //= r
         lam = lam * o // math.gcd(lam, o)
-        if lam == e_max:
+        if lam == N:
             break
     d2 = lam
     if N % d2:

@@ -131,11 +131,11 @@ def beta_grid(N, K):
 
 
 @functools.lru_cache(maxsize=None)
-def zeta3(terms=ZETA3_TERMS):
-    """zeta(3) by direct series summation, smallest terms first."""
+def zeta3():
+    """zeta(3) summed directly over ZETA3_TERMS terms, smallest first."""
     chunk = 10 ** 6
     parts = []
-    hi = terms
+    hi = ZETA3_TERMS
     while hi >= 1:
         lo = max(1, hi - chunk + 1)
         block = np.arange(lo, hi + 1, dtype=np.float64)

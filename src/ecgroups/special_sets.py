@@ -270,13 +270,13 @@ def fixed_degree_witness(n, m):
 # the k = 1 column
 # ---------------------------------------------------------------------------
 
-def balanced_n_set(m, T, verify_limit=DEFAULT_VERIFY_LIMIT):
+def balanced_n_set(m, T):
     """All n <= T whose square group Z_n x Z_n is realized at degree m.
 
     Fast paths: even m uses n = p^{m/2} +/- 1; degree 3 is the fixed pair
     {18, 19}; odd degrees >= 5 are empty; degree 1 scans n^2+1 and
-    n^2 +/- n + 1 for primality. The prefix up to verify_limit is always
-    re-derived from the definitional set and must agree.
+    n^2 +/- n + 1 for primality. The prefix up to DEFAULT_VERIFY_LIMIT is
+    always re-derived from the definitional set and must agree.
     """
     if m < 1 or T < 1:
         raise ValueError("degree and bound must be positive")
@@ -302,7 +302,7 @@ def balanced_n_set(m, T, verify_limit=DEFAULT_VERIFY_LIMIT):
             if x + 1 <= T:
                 hits.add(x + 1)
         fast = sorted(hits)
-    lim = min(T, verify_limit)
+    lim = min(T, DEFAULT_VERIFY_LIMIT)
     if lim >= 1:
         prefix = [n for n in fast if n <= lim]
         if prefix != realizable_n_set(m, 1, lim):

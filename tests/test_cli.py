@@ -80,6 +80,23 @@ def test_fcurve_csv(capsys):
     assert all(rows[i + 1][1] >= rows[i][1] for i in range(len(rows) - 1))
 
 
+def test_make_figures_script(tmp_path, capsys):
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, str(root / "scripts" / "make_figures.py"),
+                           "--outdir", str(tmp_path), "--dmax", "30", "--step", "10",
+                           "--grid", "8"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    for name in ("f_curve", "beta_grid", "vartheta_grid"):
+        assert (tmp_path / (name + ".csv")).is_file(), name
+        assert (tmp_path / (name + ".gp")).is_file(), name
+    code, out = run(capsys, "fcurve", "--dmax", "30", "--step", "10",
+                    "--format", "csv", "--header")
+    assert code == 0
+    assert (tmp_path / "f_curve.csv").read_text() == out
+
+
 def test_fcurve_resume(tmp_path, capsys):
     ck = str(tmp_path / "ck.json")
     code, first = run(capsys, "fcurve", "--dmax", "30", "--step", "5",

@@ -275,6 +275,26 @@ def test_prime_power_marks_match_dense():
         assert counting._prime_power_marks(N, K) == _dense_prime_power_marks(N, K), (N, K)
 
 
+def test_prime_power_marks_call_predicate_only_when_undecided(monkeypatch):
+    # a trace a prime to p is OrdinaryCoprime and a = +-2 sqrt(q) is
+    # FullSquareTrace, both decided in the bulk pass; only the rest, with
+    # p | a and a^2 != 4q, may reach the per-shape predicate
+    for N, K in ((60, 40), (1500, 1500)):
+        calls = []
+
+        def record(q, shape, _decomp=None):
+            calls.append((q, shape, _decomp))
+            return shape_realizable_over(q, shape, _decomp=_decomp)
+
+        monkeypatch.setattr(counting, "shape_realizable_over", record)
+        counting._prime_power_marks(N, K)
+        assert calls, (N, K)
+        for q, shape, (p, j) in calls:
+            assert p ** j == q
+            a = q + 1 - shape.k * shape.n ** 2
+            assert a % p == 0 and a * a != 4 * q, (N, K, q, shape)
+
+
 def test_unit_square_roots_match_brute_force():
     N = 2000
     count, roots = counting._unit_square_roots(N)
