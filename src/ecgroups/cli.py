@@ -263,7 +263,16 @@ def _run_witness(args):
     return obj, None, None
 
 
+# Peak bytes per row of a dioph --m 1 run, whose 2 x_max + 1 rows are all
+# solutions: 289 for JSON and 370 for CSV measured at x_max = 10^6, with room
+# for the wider numbers near the 2^63 scan bound.
+_DIOPH_ROW_BYTES = {"json": 320, "csv": 400}
+
+
 def _run_dioph(args):
+    if args.m == 1:
+        counting._require_memory(_DIOPH_ROW_BYTES[args.format] * (2 * args.xmax + 1),
+                                 "the dioph payload")
     sols = special_sets.diophantine_solutions(args.form, args.m, args.xmax)
     obj = {"form": args.form, "m": args.m, "x_max": args.xmax,
            "solutions": [list(s) for s in sols]}

@@ -12,10 +12,10 @@ Weierstrass families with the fully general long Weierstrass addition
 law, one point at a time. The vectorized path inside realized_shapes
 walks only the Weierstrass normal forms, one curve or more per
 isomorphism class, with numpy lane arithmetic: one point listing for every
-form, two addition laws chosen by the characteristic, one for odd p
-(where a1 = a3 = 0) and one xor-based law for p = 2, and one multiple
-chain per order class that reads off every curve's exponent. The test
-suite checks them against each other.
+form, the long Weierstrass law in every characteristic as a tangent-only
+doubling and a chord addition, and one multiple chain per order class that
+reads off every curve's exponent. The test suite checks them against each
+other.
 """
 
 from __future__ import annotations
@@ -89,8 +89,9 @@ class FiniteField:
         X = np.arange(q, dtype=np.int64)
         INV = np.concatenate(([0], unit.argmax(axis=1)))
         SQ = MUL[X, X]
-        T = {"q": q, "p": p, "X": X, "ADD": ADD, "MUL": MUL,
-             "NEG": (ADD == 0).argmax(axis=1), "INV": INV}
+        NEG = (ADD == 0).argmax(axis=1)
+        T = {"q": q, "p": p, "X": X, "ADD": ADD, "SUB": ADD[:, NEG], "MUL": MUL,
+             "NEG": NEG, "INV": INV, "e2": self.emb(2), "e3": self.emb(3)}
 
         # solver tables for the y-quadratic on a curve: the least root of
         # z^2 = c for odd p, and of w^2 + w = c for p = 2
@@ -101,7 +102,6 @@ class FiniteField:
             T["CHI"][0] = 0
             T["R1"] = np.zeros(q, dtype=np.int64)
             T["R1"][squares] = first
-            T["e2"], T["e3"] = self.emb(2), self.emb(3)
             self._chi, self._sqrt = T["CHI"].tolist(), T["R1"].tolist()
             self._sqrt2 = self._h0root = None
         else:
@@ -412,7 +412,8 @@ def _lane_points(T, rows):
     rows is an (a1, a2, a3, a4, a6) tuple of coefficient arrays. At each x
     the curve reads y^2 + b y = c with b = a1 x + a3 and
     c = x^3 + a2 x^2 + a4 x + a6; lanes x and q + x hold its roots, flagged
-    where they exist.
+    where they exist. Lane i has abscissa i mod q, so only (y, flag) is
+    returned.
     """
     MUL, ADD, NEG = T["MUL"], T["ADD"], T["NEG"]
     a1, a2, a3, a4, a6 = (r[:, None] for r in rows)
@@ -424,7 +425,7 @@ def _lane_points(T, rows):
         h = MUL[b, T["INV"][T["e2"]]]
         g = ADD[c, MUL[h, h]]
         z = T["R1"][g]
-        y0, y1 = ADD[z, NEG[h]], NEG[ADD[z, h]]
+        y0, y1 = T["SUB"][z, h], NEG[ADD[z, h]]
         f0, f1 = T["CHI"][g] >= 0, T["CHI"][g] == 1
     else:
         # b = 0: the one root sqrt(c); else b w and b w + b, w^2 + w = c / b^2
@@ -433,74 +434,56 @@ def _lane_points(T, rows):
         y1 = y0 ^ b
         f0 = (b == 0) | T["H0"][s]
         f1 = (b != 0) & T["H0"][s]
-    bx = np.broadcast_to(X, c.shape)
-    return (np.concatenate([bx, bx], axis=1), np.concatenate([y0, y1], axis=1),
-            np.concatenate([f0, f1], axis=1))
+    return np.concatenate([y0, y1], axis=1), np.concatenate([f0, f1], axis=1)
 
 
-def _lane_merge(P, Q, both, cancel, x3, y3):
-    """Per lane: (x3, y3) where both points are present and do not cancel,
-    the identity where they cancel, else whichever point is present."""
-    x1, y1, f1 = P
-    x2, y2, f2 = Q
-    produced = both & ~cancel
-    rx = np.where(produced, x3, np.where(f1, x1, x2))
-    ry = np.where(produced, y3, np.where(f1, y1, y2))
-    rf = np.where(both, produced, f1 | f2)
-    return rx, ry, rf
+def _line_sum(T, a, lam, x1, y1, x2):
+    """(x1, y1) + (x2, y2) from the slope lam of the line through them."""
+    MUL, ADD, SUB = T["MUL"], T["ADD"], T["SUB"]
+    a1, a2, a3, _, _ = a
+    la = ADD[lam, a1]
+    x3 = SUB[MUL[la, lam], ADD[a2, ADD[x1, x2]]]
+    return x3, SUB[SUB[MUL[lam, x1], y1], ADD[MUL[la, x3], a3]]
 
 
-def _badd_odd(T, a, P, Q):
-    """p > 2, a1 = a3 = 0: y^2 = x^3 + a2 x^2 + a4 x + a6."""
-    MUL, ADD, NEG, INV = T["MUL"], T["ADD"], T["NEG"], T["INV"]
-    _, a2, _, a4, _ = a
-    x1, y1, f1 = P
-    x2, y2, f2 = Q
-    both = f1 & f2
-    eqx = both & (x1 == x2)
-    cancel = eqx & (y2 == NEG[y1])
-    dbl = eqx & ~cancel
-
-    lam_a = MUL[ADD[y2, NEG[y1]], INV[ADD[x2, NEG[x1]]]]
-    den = MUL[T["e2"], y1]
-    if np.any(dbl & (den == 0)):
-        raise RuntimeError("tangent at a two-torsion point slipped the cancel mask")
-    num = ADD[ADD[MUL[T["e3"], MUL[x1, x1]], MUL[MUL[T["e2"], a2], x1]], a4]
-    lam = np.where(dbl, MUL[num, INV[den]], lam_a)
-    x3 = ADD[MUL[lam, lam], NEG[ADD[a2, ADD[x1, x2]]]]
-    y3 = ADD[MUL[lam, ADD[x1, NEG[x3]]], NEG[y1]]
-    return _lane_merge(P, Q, both, cancel, x3, y3)
-
-
-def _badd_c2(T, a, P, Q):
-    """p = 2: y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6, adding by xor."""
-    MUL, INV = T["MUL"], T["INV"]
+def _bdbl(T, a, P):
+    """2P on every lane by the tangent of _point_add, the identity at
+    two-torsion lanes; a holds the curves' (a1, a2, a3, a4, a6) columns."""
+    MUL, ADD, SUB, INV = T["MUL"], T["ADD"], T["SUB"], T["INV"]
     a1, a2, a3, a4, _ = a
     x1, y1, f1 = P
+    den = ADD[ADD[MUL[T["e2"]][y1], MUL[a1, x1]], a3]
+    num = ADD[MUL[ADD[MUL[T["e3"]][x1], MUL[T["e2"]][a2]], x1], SUB[a4, MUL[a1, y1]]]
+    x3, y3 = _line_sum(T, a, MUL[num, INV[den]], x1, y1, x1)
+    return x3, y3, f1 & (den != 0)
+
+
+def _badd(T, a, P, Q):
+    """P + Q on every lane by the chord of _point_add, the identity where
+    Q = -P and _bdbl where Q = P; a lane with a clear flag is the identity."""
+    MUL, SUB, INV = T["MUL"], T["SUB"], T["INV"]
+    x1, y1, f1 = P
     x2, y2, f2 = Q
     both = f1 & f2
-    eqx = both & (x1 == x2)
-    den = MUL[a1, x1] ^ a3
-    cancel = eqx & (y2 == (y1 ^ den))
-    dbl = eqx & ~cancel
-    if np.any(dbl & (den == 0)):
-        raise RuntimeError("tangent at a two-torsion point slipped the cancel mask")
-
-    lam_a = MUL[y1 ^ y2, INV[x1 ^ x2]]
-    lam_d = MUL[MUL[x1, x1] ^ a4 ^ MUL[a1, y1], INV[den]]
-    lam = np.where(dbl, lam_d, lam_a)
-    x3 = MUL[lam, lam] ^ MUL[a1, lam] ^ a2 ^ x1 ^ x2
-    y3 = MUL[lam ^ a1, x3] ^ y1 ^ MUL[lam, x1] ^ a3
-    return _lane_merge(P, Q, both, cancel, x3, y3)
+    chord = both & (x1 != x2)
+    x3, y3 = _line_sum(T, a, MUL[SUB[y2, y1], INV[SUB[x2, x1]]], x1, y1, x2)
+    x = np.where(chord, x3, np.where(f1, x1, x2))
+    y = np.where(chord, y3, np.where(f1, y1, y2))
+    f = np.where(both, chord, f1 | f2)
+    dbl = both & (x1 == x2) & (y1 == y2)
+    if dbl.any():
+        x[dbl], y[dbl], f[dbl] = _bdbl(T, tuple(np.broadcast_to(c, dbl.shape)[dbl] for c in a),
+                                       (x1[dbl], y1[dbl], f1[dbl]))
+    return x, y, f
 
 
-def _bsmul(addf, args, e, P):
+def _bsmul(args, e, P):
     """e P for e >= 1, by top-down double-and-add starting from P."""
     acc = P
     for bit in bin(e)[3:]:
-        acc = addf(*args, acc, acc)
+        acc = _bdbl(*args, acc)
         if bit == "1":
-            acc = addf(*args, acc, P)
+            acc = _badd(*args, acc, P)
     return acc
 
 
@@ -526,26 +509,25 @@ def _resolve_class(field, Nval, rows):
     """
     q = field.q
     T = _tables(field)
-    addf = _badd_c2 if field.p == 2 else _badd_odd
     m = _square_part(Nval)
     shapes = set()
     R = rows[0].shape[0]
     for lo in range(0, R, _RESOLVE_CHUNK):
         sel = tuple(r[lo:lo + _RESOLVE_CHUNK] for r in rows)
-        x, y, f = _lane_points(T, sel)
+        y, f = _lane_points(T, sel)
         if not np.all(f.sum(axis=1) == Nval - 1):
             raise RuntimeError("point listing disagrees with the order count")
         keep = np.argsort(~f, axis=1, kind="stable")[:, :Nval - 1]
-        P = tuple(np.take_along_axis(a, keep, axis=1) for a in (x, y, f))
+        P = (keep % q, np.take_along_axis(y, keep, axis=1), np.ones(keep.shape, dtype=bool))
         args = (T, tuple(r[:, None] for r in sel))
-        Q = _bsmul(addf, args, Nval // m, P)
+        Q = _bsmul(args, Nval // m, P)
         t = np.ones(sel[0].shape[0], dtype=np.int64)
         for r, a in arith.factorize(m).items():
-            S = _bsmul(addf, args, m // r ** a, Q)
+            S = _bsmul(args, m // r ** a, Q)
             part = np.zeros_like(t)
             for j in range(a + 1):
                 if j:
-                    S = _bsmul(addf, args, r, S)
+                    S = _bsmul(args, r, S)
                 part[(part == 0) & ~S[2].any(axis=1)] = r ** j
             if not part.all():
                 raise RuntimeError("no divisor annihilates a curve group; arithmetic bug")
@@ -621,7 +603,7 @@ def _normal_forms(field):
     b2 = MUL[e4, a2r]
     b4 = MUL[T["e2"], a4r]
     b6 = MUL[e4, a6r]
-    b8 = ADD[MUL[e4, MUL[a2r, a6r]], NEG[MUL[a4r, a4r]]]
+    b8 = T["SUB"][MUL[e4, MUL[a2r, a6r]], MUL[a4r, a4r]]
     disc = ADD[ADD[NEG[MUL[MUL[b2, b2], b8]], NEG[MUL[e8, MUL[MUL[b4, b4], b4]]]],
                ADD[NEG[MUL[e27, MUL[b6, b6]]], MUL[e9, MUL[MUL[b2, b4], b6]]]]
     good = disc != 0
@@ -659,7 +641,7 @@ def realized_shapes(q):
     rows = _normal_forms(field)
     T = _tables(field)
     N = np.concatenate([
-        1 + _lane_points(T, tuple(r[lo:lo + _RESOLVE_CHUNK] for r in rows))[2].sum(axis=1)
+        1 + _lane_points(T, tuple(r[lo:lo + _RESOLVE_CHUNK] for r in rows))[1].sum(axis=1)
         for lo in range(0, rows[0].shape[0], _RESOLVE_CHUNK)])
     return _forced_or_resolve(field, rows, N)
 

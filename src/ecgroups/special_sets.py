@@ -235,26 +235,14 @@ def fixed_degree_witness(n, m):
     """
     if n < 1 or m < 1:
         raise ValueError("n and m must be positive")
+    # is_prime raises OverflowError once the search passes 2^63
+    step, admissible = (n * n, lambda c: c % 2) if m == 1 else (n, lambda c: m % c)
+    p = step + 1
+    while not (admissible(p) and arith.is_prime(p)):
+        p += step
+    d = (p - 1) // step
     if m == 1:
-        step = n * n
-        c = step + 1
-        while True:
-            if c > arith.LIMIT:
-                raise OverflowError("witness prime search exceeded the supported range")
-            if c % 2 == 1 and arith.is_prime(c):
-                break
-            c += step
-        d = (c - 1) // step
-        return FixedDegreeWitness(p=c, d=d, k=d, ell=0)
-    c = n + 1
-    while True:
-        if c > arith.LIMIT:
-            raise OverflowError("witness prime search exceeded the supported range")
-        if m % c != 0 and arith.is_prime(c):
-            break
-        c += n
-    p = c
-    d = (p - 1) // n
+        return FixedDegreeWitness(p=p, d=d, k=d, ell=0)
     coeff = 0
     for i in range(m - 1):
         coeff = coeff * p + (i + 1)

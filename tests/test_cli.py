@@ -224,10 +224,7 @@ def test_oracle(capsys):
 
 def test_constants(capsys):
     code, out = run(capsys, "constants")
-    obj = json.loads(out)
-    assert abs(obj["theta"] - 1.9436) < 1e-3
-    assert abs(obj["main"] - 2.5915) < 1e-3
-    assert "C" not in obj
+    assert out == '{"theta": 1.943596436820751, "main": 2.5914619157610015}\n'
     code, out = run(capsys, "constants", "--euler-product-bound", "1000")
     obj = json.loads(out)
     assert obj["C"]["value"] == pytest.approx(1.8035366139149054, rel=1e-12)
@@ -284,6 +281,23 @@ def test_grid_payload_respects_address_space_limit():
                           timeout=120)
     assert proc.returncode == 3, proc.stderr
     assert "grid payload" in proc.stderr
+
+
+def test_dioph_payload_respects_address_space_limit():
+    # degree 1 lists all 2 * 10^9 + 1 values of x, hundreds of GB of payload,
+    # above a 1.5 GB RLIMIT_AS: refused up front, where building the list
+    # used to die of MemoryError
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (15 * 10 ** 8, resource.RLIM_INFINITY))
+
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-m", "ecgroups.cli", "dioph", "--form", "x^2+1",
+                           "--m", "1", "--xmax", "1000000000"],
+                          env=env, preexec_fn=cap, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert "dioph payload" in proc.stderr
 
 
 def test_npsum_respects_address_space_limit():

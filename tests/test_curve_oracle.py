@@ -17,8 +17,8 @@ from ecgroups.curve_oracle import (
     group_structure,
     predicted_shapes,
     realized_shapes,
-    _badd_c2,
-    _badd_odd,
+    _badd,
+    _bdbl,
     _coset_reps,
     _lane_points,
     _normal_forms,
@@ -353,6 +353,17 @@ def test_realized_matches_scalar_brute_force():
         assert realized_shapes(q) == brute, q
 
 
+def _lanes(T, rows):
+    """(x, y, flag) of every lane of rows, an identity lane appended."""
+    y, f = _lane_points(T, rows)
+    x = np.broadcast_to(np.arange(y.shape[1]) % T["q"], y.shape)
+    return tuple(np.concatenate([a, np.zeros_like(a[:, :1])], axis=1) for a in (x, y, f))
+
+
+def _as_points(x, y, f):
+    return [(X, Y) if ok else None for X, Y, ok in zip(x.tolist(), y.tolist(), f.tolist())]
+
+
 def test_normal_form_lane_points_match_scalar_points():
     # each lane listing of a normal-form row is the scalar point set of that
     # curve: 32 and 64 hold both characteristic-2 forms at larger fields, 27
@@ -360,35 +371,53 @@ def test_normal_form_lane_points_match_scalar_points():
     for p, m in [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (13, 1), (7, 2)]:
         F = build_field(p, m)
         rows = _normal_forms(F)
-        x, y, f = _lane_points(_tables(F), rows)
+        x, y, f = _lanes(_tables(F), rows)
         for i, a in enumerate(zip(*(r.tolist() for r in rows))):
-            lanes = sorted(zip(x[i][f[i]].tolist(), y[i][f[i]].tolist()))
+            lanes = sorted(P for P in _as_points(x[i], y[i], f[i]) if P is not None)
             assert lanes == sorted(_points(CurveModel(F, *a))), (F.q, a)
+
+
+LANE_LAW_FIELDS = [(2, 2), (2, 3), (2, 4), (3, 2), (13, 1), (5, 2)]
+
+
+def test_lane_doubling_matches_scalar_doubling():
+    # every lane of every normal-form row, the identity lane included, in
+    # every characteristic; the lanes cover two-torsion points
+    for p, m in LANE_LAW_FIELDS:
+        F = build_field(p, m)
+        T = _tables(F)
+        rows = _normal_forms(F)
+        x, y, f = _lanes(T, rows)
+        got = _bdbl(T, tuple(r[:, None] for r in rows), (x, y, f))
+        seen = set()
+        for n, a in enumerate(zip(*(r.tolist() for r in rows))):
+            curve = CurveModel(F, *a)
+            for P, S in zip(_as_points(x[n], y[n], f[n]), _as_points(*(g[n] for g in got))):
+                R = _point_add(curve, P, P)
+                assert S == R, (F.q, a, P)
+                seen.add("identity" if P is None else "2-torsion" if R is None else "2P")
+        assert seen == {"identity", "2-torsion", "2P"}, (F.q, seen)
 
 
 def test_lane_addition_matches_scalar_addition():
     # every ordered pair of lanes of every normal-form row, the identity lane
-    # included, through the law realized_shapes picks for the characteristic;
-    # the pairs cover P = Q, P = -Q and two-torsion points
-    for p, m in [(2, 2), (2, 3), (2, 4), (3, 2), (13, 1), (5, 2)]:
+    # included, in every characteristic; the pairs cover P = Q, P = -Q and
+    # two-torsion points
+    for p, m in LANE_LAW_FIELDS:
         F = build_field(p, m)
         T = _tables(F)
-        addf = _badd_c2 if p == 2 else _badd_odd
         rows = _normal_forms(F)
-        x, y, f = _lane_points(T, rows)
-        x, y, f = (np.concatenate([a, np.zeros_like(a[:, :1])], axis=1) for a in (x, y, f))
+        x, y, f = _lanes(T, rows)
         W = x.shape[1]
         i, j = np.meshgrid(np.arange(W), np.arange(W), indexing="ij")
         i, j = i.ravel(), j.ravel()
-        rx, ry, rf = addf(T, tuple(r[:, None] for r in rows),
-                          (x[:, i], y[:, i], f[:, i]), (x[:, j], y[:, j], f[:, j]))
+        rx, ry, rf = _badd(T, tuple(r[:, None] for r in rows),
+                           (x[:, i], y[:, i], f[:, i]), (x[:, j], y[:, j], f[:, j]))
         seen = set()
         for n, a in enumerate(zip(*(r.tolist() for r in rows))):
             curve = CurveModel(F, *a)
-            lane = [(X, Y) if ok else None
-                    for X, Y, ok in zip(x[n].tolist(), y[n].tolist(), f[n].tolist())]
-            got = [(X, Y) if ok else None
-                   for X, Y, ok in zip(rx[n].tolist(), ry[n].tolist(), rf[n].tolist())]
+            lane = _as_points(x[n], y[n], f[n])
+            got = _as_points(rx[n], ry[n], rf[n])
             for P, Q, S in zip((lane[k] for k in i), (lane[k] for k in j), got):
                 R = _point_add(curve, P, Q)
                 assert S == R, (F.q, a, P, Q)
@@ -409,7 +438,7 @@ def test_resolve_class_matches_scalar_structure():
     for q in [32, 37, 49, 81]:
         F = build_field(*arith.prime_power_decompose(q))
         rows = _normal_forms(F)
-        N = 1 + _lane_points(_tables(F), rows)[2].sum(axis=1)
+        N = 1 + _lane_points(_tables(F), rows)[1].sum(axis=1)
         for Nval in np.unique(N).tolist():
             m = _square_part(Nval)
             if m == 1:
@@ -425,14 +454,15 @@ def test_resolve_class_matches_scalar_structure():
     assert {4, 6, 8, 9} <= seen and {2, 3, 4, 6} <= split
 
 
-@pytest.mark.parametrize("q, law", [(13, "_badd_odd"), (27, "_badd_odd"), (16, "_badd_c2")])
+@pytest.mark.parametrize("q, law", [(13, "_badd"), (13, "_bdbl"), (16, "_badd"), (16, "_bdbl"),
+                                     (27, "_badd"), (27, "_bdbl")])
 def test_lane_law_that_never_reaches_identity_raises(monkeypatch, q, law):
     # the last link of every chain is N P, which must be the identity on
     # every lane; a law that never returns it must not yield a shape
     real = getattr(curve_oracle, law)
 
-    def broken(T, a, P, Q):
-        x, y, f = real(T, a, P, Q)
+    def broken(*args):
+        x, y, f = real(*args)
         return x, y, np.ones_like(f)
 
     monkeypatch.setattr(curve_oracle, law, broken)
