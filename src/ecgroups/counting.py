@@ -11,15 +11,19 @@ prime-witness set when its window v = k n^2 + l n + 1, l^2 <= 4k, holds a
 prime. Each undecided cell screens its next few offsets l with the
 batched base-2 probable-prime test, certifies only its first survivor and
 drops out at its first prime, a block of rows at a time. Prime-power
-witnesses (q = p^j, j >= 2) are sparse and are merged in from one numpy
-pass over chunks of rows: q = p^2 from the primes p with p^2 = 1 mod n,
-and higher powers from one ascending table of p^j, its entries q = 1 mod n.
+witnesses (q = p^j, j >= 2) are sparse and come from one numpy pass over
+chunks of rows: q = p^2 from the primes p with p^2 = 1 mod n, and higher
+powers from one ascending table of p^j, its entries q = 1 mod n. They are
+kept as two arrays (n, k), sorted by n, and scattered onto each block.
+Blocks go to forked pool workers, or run in-process for one worker or
+one block, and the surveys consume them a block at a time.
 """
 
 from __future__ import annotations
 
 import collections
 import concurrent.futures
+import itertools
 import json
 import math
 import multiprocessing
@@ -299,35 +303,46 @@ def _pool_block(ns):
 
 
 def _member_rows(N, K, workers=1, start_n=1):
-    """Yield (n, prime_row, prime_power_row) in row order.
+    """Yield (first_n, prime_rows, prime_power_rows), one per block of rows,
+    in row order.
 
-    Rows are boolean arrays indexed by k with entry 0 unused. Blocks of
-    rows go to the workers and are merged back in row order, so the
-    stream is identical for any worker count. A worker that dies raises
-    BrokenProcessPool here. With start_n > N there is nothing to do, and
-    neither the context nor the marks are built.
+    Row i of each boolean array, shape (rows, K + 1), is row first_n + i,
+    indexed by k with column 0 unused. The prime-power marks are scattered
+    onto each block in one step. Blocks go to min(workers, blocks) forked
+    workers, which share the context copy-on-write, and are merged back in
+    row order, so the stream is identical for any worker count; a single
+    block is solved in-process. A worker that dies raises BrokenProcessPool
+    here. With start_n > N there is nothing to do, and neither the context
+    nor the marks are built.
     """
     if start_n > N:
         return
     ctx = _SieveContext(N, K)
     marks = _prime_power_marks(N, K)
+    mark_n = np.repeat(np.fromiter(marks, np.int64, len(marks)),
+                       np.fromiter(map(len, marks.values()), np.int64, len(marks)))
+    mark_k = np.fromiter(itertools.chain.from_iterable(marks.values()), np.int64, mark_n.size)
+    del marks                       # its sets need not outlive the survey's start
+    order = np.argsort(mark_n, kind="stable")
+    mark_n, mark_k = mark_n[order], mark_k[order]
     per = max(1, _BLOCK_CELLS // K)
-    blocks = (range(n, min(n + per, N + 1)) for n in range(start_n, N + 1, per))
+    blocks = [range(n, min(n + per, N + 1)) for n in range(start_n, N + 1, per)]
 
-    def finish(ns, rows):
-        for n, spi in zip(ns, rows):
-            spp = spi.copy()
-            for k in marks.get(n, ()):
-                spp[k] = True
-            yield n, spi, spp
+    def finish(ns, prime_rows):
+        lo, hi = np.searchsorted(mark_n, [ns.start, ns.stop])
+        power_rows = prime_rows.copy()
+        power_rows[mark_n[lo:hi] - ns.start, mark_k[lo:hi]] = True
+        return ns.start, prime_rows, power_rows
 
+    workers = min(workers, len(blocks))
     if workers == 1:
         for ns in blocks:
-            yield from finish(ns, _row_kernel(ctx, ns))
+            yield finish(ns, _row_kernel(ctx, ns))
         return
-    # the process-pool module loads on this first use, not with the package
+    # forked workers inherit the imported modules and the context; the
+    # process-pool module loads on this first use, not with the package
     with concurrent.futures.ProcessPoolExecutor(
-            workers, mp_context=multiprocessing.get_context("spawn"),
+            workers, mp_context=multiprocessing.get_context("fork"),
             initializer=_pool_init, initargs=(ctx,)) as pool:
         pending = collections.deque()
 
@@ -339,14 +354,20 @@ def _member_rows(N, K, workers=1, start_n=1):
         for ns in blocks:
             pending.append((ns, pool.submit(_pool_block, ns)))
             if len(pending) > 2 * workers:
-                yield from merge()
+                yield merge()
         while pending:
-            yield from merge()
+            yield merge()
 
 
 # ---------------------------------------------------------------------------
 # public surveys
 # ---------------------------------------------------------------------------
+
+def _missed_shapes(first, spp):
+    """The shapes outside the prime-power-witness set in a block from row first."""
+    rows, cols = np.nonzero(~spp[:, 1:])
+    return map(GroupShape, (rows + first).tolist(), (cols + 1).tolist())
+
 
 def survey(N, K, workers=None):
     """Exact counts and missed pairs for the rectangle [1, N] x [1, K]."""
@@ -355,11 +376,10 @@ def survey(N, K, workers=None):
     n_pi = 0
     n_Pi = 0
     missed = []
-    for n, spi, spp in _member_rows(N, K, workers):
-        n_pi += int(spi.sum())
-        n_Pi += int(spp.sum())
-        for k in np.nonzero(~spp[1:])[0].tolist():
-            missed.append(GroupShape(n, k + 1))
+    for first, spi, spp in _member_rows(N, K, workers):
+        n_pi += int(np.count_nonzero(spi))
+        n_Pi += int(np.count_nonzero(spp))
+        missed += _missed_shapes(first, spp)
     return CountGrid(N, K, n_pi, n_Pi, missed)
 
 
@@ -395,9 +415,9 @@ def membership_grid(N, K, workers=None):
     workers = _resolve_workers(workers)
     spi = np.zeros((N + 1, K + 1), dtype=bool)
     spp = np.zeros((N + 1, K + 1), dtype=bool)
-    for n, row_pi, row_pp in _member_rows(N, K, workers):
-        spi[n] = row_pi
-        spp[n] = row_pp
+    for first, rows_pi, rows_pp in _member_rows(N, K, workers):
+        spi[first:first + len(rows_pi)] = rows_pi
+        spp[first:first + len(rows_pp)] = rows_pp
     return spi, spp
 
 
@@ -433,7 +453,8 @@ def f_series(d_max, step=1, workers=None, resume=None, checkpoint_seconds=30.0):
 
     Computes one bulk survey of [1, d_max]^2 and reads every requested D
     off the sorted missed list. With a resume path, progress is saved at
-    the given wall-clock interval and picked up on the next call.
+    the first block end after each checkpoint_seconds of wall-clock time
+    and picked up on the next call.
     """
     if step < 1:
         raise ValueError("step must be positive")
@@ -445,11 +466,10 @@ def f_series(d_max, step=1, workers=None, resume=None, checkpoint_seconds=30.0):
         rows_done, missed = _read_checkpoint(resume, d_max)
         start_n = rows_done + 1
     last_write = time.monotonic()
-    for n, _, spp in _member_rows(d_max, d_max, workers, start_n=start_n):
-        for k in np.nonzero(~spp[1:])[0].tolist():
-            missed.append(GroupShape(n, k + 1))
+    for first, _, spp in _member_rows(d_max, d_max, workers, start_n=start_n):
+        missed += _missed_shapes(first, spp)
         if resume is not None and time.monotonic() - last_write >= checkpoint_seconds:
-            _write_checkpoint(resume, d_max, step, n, missed)
+            _write_checkpoint(resume, d_max, step, first + len(spp) - 1, missed)
             last_write = time.monotonic()
     if resume is not None:
         _write_checkpoint(resume, d_max, step, d_max, missed)

@@ -353,7 +353,9 @@ def test_out_file(tmp_path, capsys):
     assert target.read_text() == out
 
 
-def test_workers_identical(capsys):
+def test_workers_identical(monkeypatch, capsys):
+    # blocks of four rows, so that the survey takes the pool
+    monkeypatch.setattr(counting, "_BLOCK_CELLS", 4 * 20)
     _, one = run(capsys, "missed", "--nmax", "30", "--kmax", "20",
                  "--workers", "1", "--format", "csv")
     _, many = run(capsys, "missed", "--nmax", "30", "--kmax", "20",
@@ -371,6 +373,8 @@ def _alarm(signum, frame):
 
 
 def test_dead_worker_exit_code(monkeypatch, capsys):
+    # blocks of four rows, so that the survey takes the pool
+    monkeypatch.setattr(counting, "_BLOCK_CELLS", 4 * 12)
     monkeypatch.setattr(counting, "_pool_block", dying_pool_block)
     old = signal.signal(signal.SIGALRM, _alarm)
     signal.alarm(60)

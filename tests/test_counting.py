@@ -5,6 +5,7 @@ interval sieve for the n = 1 row, and hand-frozen counts for the 25 x 25
 rectangle. The two double-sum evaluations must agree exactly.
 """
 
+import concurrent.futures
 import json
 import math
 import os
@@ -152,13 +153,74 @@ def test_f_series_checkpoint_roundtrip(tmp_path, monkeypatch):
         f_series(40, step=5, resume=path)
 
 
-def test_workers_bit_identical():
+def test_f_series_checkpoints_on_block_ends(tmp_path, monkeypatch):
+    # with every interval elapsed, each block end of the pool's merge writes
+    # the missed pairs of the rows done so far, and each resumes to the series
+    monkeypatch.setattr(counting, "_BLOCK_CELLS", 7 * 40)
+    want = f_series(40, step=5)
+    pairs = survey(40, 40).missed
+    path = str(tmp_path / "ck.json")
+    write = counting._write_checkpoint
+    written = []
+
+    def record(path, d_max, step, rows_done, missed):
+        write(path, d_max, step, rows_done, missed)
+        with open(path) as fh:
+            written.append((rows_done, list(missed), fh.read()))
+
+    monkeypatch.setattr(counting, "_write_checkpoint", record)
+    assert f_series(40, step=5, workers=2, resume=path, checkpoint_seconds=0.0) == want
+    monkeypatch.setattr(counting, "_write_checkpoint", write)
+    assert [rows_done for rows_done, _, _ in written] == [7, 14, 21, 28, 35, 40, 40]
+    for rows_done, missed, doc in written:
+        assert missed == [s for s in pairs if s.n <= rows_done], rows_done
+        with open(path, "w") as fh:
+            fh.write(doc)
+        assert f_series(40, step=5, workers=2, resume=path) == want, rows_done
+
+
+def test_workers_bit_identical(monkeypatch):
+    # blocks of five rows, so that the surveys take the pool
+    monkeypatch.setattr(counting, "_BLOCK_CELLS", 5 * 40)
     one = survey(60, 40, workers=1)
     many = survey(60, 40, workers=3)
     assert one == many
     a = membership_grid(35, 35, workers=1)
     b = membership_grid(35, 35, workers=4)
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+
+def test_pool_independent_of_block_size(monkeypatch):
+    # the forked pool against the in-process path: one-row blocks, blocks of
+    # three rows with a short last one, and blocks of seven and eight rows,
+    # whose edges carry prime-power marks
+    assert any(n % 7 in (0, 1) for n in counting._prime_power_marks(60, 40))
+    assert any(n % 8 in (0, 1) for n in counting._prime_power_marks(35, 35))
+    want = survey(60, 40, workers=1)
+    grid = membership_grid(35, 35, workers=1)
+    for cells in (1, 3 * 40 + 1, 7 * 40):
+        monkeypatch.setattr(counting, "_BLOCK_CELLS", cells)
+        assert survey(60, 40, workers=2) == want, cells
+        got = membership_grid(35, 35, workers=2)
+        assert all(np.array_equal(a, b) for a, b in zip(got, grid)), cells
+
+
+def test_pool_sized_to_blocks(monkeypatch):
+    # one block runs in-process; three blocks take three workers, not eight
+    sizes = []
+    real = concurrent.futures.ProcessPoolExecutor
+
+    def sized(workers, **kw):
+        sizes.append(workers)
+        return real(workers, **kw)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", sized)
+    want = survey(12, 12, workers=1)
+    assert survey(12, 12, workers=8) == want
+    assert sizes == []
+    monkeypatch.setattr(counting, "_BLOCK_CELLS", 4 * 12)
+    assert survey(12, 12, workers=8) == want
+    assert sizes == [3]
 
 
 def _predicate_rows(ns, K):
@@ -320,6 +382,8 @@ def _alarm(signum, frame):
 
 
 def test_dead_worker_raises(monkeypatch):
+    # blocks of three rows, so that the survey takes the pool
+    monkeypatch.setattr(counting, "_BLOCK_CELLS", 3 * 20)
     monkeypatch.setattr(counting, "_pool_block", dying_pool_block)
     old = signal.signal(signal.SIGALRM, _alarm)
     signal.alarm(60)
