@@ -10,13 +10,16 @@ The bulk path decides rows n with one cell kernel: cell (n, k) is in the
 prime-witness set when its window v = k n^2 + l n + 1, l^2 <= 4k, holds a
 prime. Each undecided cell screens its next few offsets l with the
 batched base-2 probable-prime test, certifies only its first survivor and
-drops out at its first prime, a block of rows at a time. Prime-power
-witnesses (q = p^j, j >= 2) are sparse and come from one numpy pass over
-chunks of rows: q = p^2 from the primes p with p^2 = 1 mod n, and higher
-powers from one ascending table of p^j, its entries q = 1 mod n. They are
-kept as two arrays (n, k), sorted by n, and scattered onto each block.
-Blocks go to forked pool workers, or run in-process for one worker or
-one block, and the surveys consume them a block at a time.
+drops out at its first prime. The kernel keeps one pool of live cells,
+admits whole rows as cells finish and hands on each prefix of rows once
+it is done. Prime-power witnesses (q = p^j, j >= 2) are sparse and come
+from one numpy pass over chunks of rows: q = p^2 from the primes p with
+p^2 = 1 mod n, and higher powers from one ascending table of p^j, its
+entries q = 1 mod n. They are kept as two arrays (n, k), sorted by n, and
+scattered onto each run of finished rows. In-process the kernel runs
+over all rows at once; with several workers, blocks of rows go to forked
+pool workers, each running the same kernel. The surveys consume the rows
+a run at a time.
 """
 
 from __future__ import annotations
@@ -95,37 +98,72 @@ def _sieve_row(ctx, n):
     return _row_kernel(ctx, [n])[0]
 
 
-_KERNEL_STEP = 8
+# A round screens _KERNEL_STEP offsets of every live cell. With the pool full
+# at every round, a narrower round tests fewer values past a cell's first
+# prime: f_series(1500) screened 27.1M values in 286 rounds at step 4, 29.7M
+# in 214 at 6 and 32.6M in 143 at 8, and step 4 ran fastest of the three in
+# alternating passes (step 3, 25.8M in 388 rounds, timed the same as 4).
+_KERNEL_STEP = 4
+
+# The kernel keeps about _BLOCK_CELLS cells live: enough to amortize a
+# round's numpy calls, few enough that a round's arrays stay near 1 MB. At
+# D = 1500 rounds of 16k cells or more cost 0.7 us a cell, while a kernel
+# that drained each block of rows spent 0.95 s on its 819 rounds of under
+# 1,000 cells (116k cell-rounds). Pool blocks take max(1, _BLOCK_CELLS // K)
+# rows.
+_BLOCK_CELLS = 1 << 15
 
 
-def _row_kernel(ctx, ns):
-    """Rows ns, shape (len(ns), K + 1), each cell certified by its first prime.
+def _kernel_rows(ctx, ns):
+    """Yield (first, rows) for the rows ns in order: rows, shape (m, K + 1),
+    holds rows first, ..., first + m - 1 of ns, counted from 0, each cell
+    certified by its first prime, column 0 unused.
 
-    Every undecided cell (n, k) screens its next _KERNEL_STEP offsets l of
-    the window l^2 <= 4k with one batched probable-prime test, certifies its
-    survivors in ascending l until one is prime, and drops out at that prime
-    or once its window is used up.
+    One pool of live cells: when it holds _BLOCK_CELLS // 2 cells or fewer,
+    the next whole rows of ns come in, at least one, up to _BLOCK_CELLS
+    cells. Each round every live cell (n, k) screens its next _KERNEL_STEP
+    offsets l of the window l^2 <= 4k with one batched probable-prime test,
+    certifies its survivors in ascending l until one is prime, and drops out
+    at that prime or once its window is used up. Each prefix of rows whose
+    cells are all done is yielded as soon as it is. Only the live cells and
+    the rows drawn from ns but not yet yielded are held.
     """
     K = ctx.K
-    ns = np.asarray(ns, dtype=np.int64)
-    n = np.repeat(ns, K)
-    kn = np.tile(np.arange(1, K + 1, dtype=np.int64), ns.size) * n
-    w = np.tile(ctx.W, ns.size)
-    ell = -w
-    hit = np.zeros(n.size, dtype=bool)
-    live = np.arange(n.size)
+    width = K + 1
+    ns = iter(ns)
+    ks = np.arange(1, width, dtype=np.int64)
     step = np.arange(_KERNEL_STEP, dtype=np.int64)
-    while live.size:
-        v = ell[live, None] + step
-        past = v > w[live, None]
-        v += kn[live, None]
-        v *= n[live, None]
+    # one column per live cell: n, k n, w_k, its next offset l, and its index
+    # into the drawn rows laid end to end; admitted in order, so ascending
+    live = np.zeros((5, 0), dtype=np.int64)
+    rows = np.zeros((0, width), dtype=bool)     # drawn and not yet yielded
+    first = 0
+    more = True
+    while True:
+        if more and live.shape[1] <= _BLOCK_CELLS // 2:
+            want = max(1, (_BLOCK_CELLS - live.shape[1]) // K)
+            new = np.fromiter(itertools.islice(ns, want), np.int64)
+            more = new.size == want
+            drawn = first + len(rows)
+            n = np.repeat(new, K)
+            w = np.tile(ctx.W, new.size)
+            cell = np.arange(drawn, drawn + new.size)[:, None] * width + ks
+            live = np.concatenate(
+                [live, np.stack([n, np.tile(ks, new.size) * n, w, -w, cell.reshape(-1)])], axis=1)
+            rows = np.concatenate([rows, np.zeros((new.size, width), dtype=bool)])
+        if not live.shape[1]:
+            return
+        n, kn, w, ell, cell = live
+        v = ell[:, None] + step
+        past = v > w[:, None]
+        v += kn[:, None]
+        v *= n[:, None]
         v += 1
         v[past] = 0
         maybe = arith.probable_prime_batch(v)
         # certify each cell's first survivor only: every offset before it is
         # composite, and a base-2 strong pseudoprime hands on to the next
-        found = np.zeros(live.size, dtype=bool)
+        found = np.zeros(v.shape[0], dtype=bool)
         cells = np.flatnonzero(maybe.any(axis=1))
         while cells.size:
             col = maybe[cells].argmax(axis=1)
@@ -134,12 +172,20 @@ def _row_kernel(ctx, ns):
             cells, col = cells[~prime], col[~prime]
             maybe[cells, col] = False
             cells = cells[maybe[cells].any(axis=1)]
-        hit[live[found]] = True
-        ell[live] += _KERNEL_STEP
-        live = live[~found & (ell[live] <= w[live])]
-    rows = np.zeros((ns.size, K + 1), dtype=bool)
-    rows[:, 1:] = hit.reshape(ns.size, K)
-    return rows
+        rows.reshape(-1)[cell[found] - first * width] = True
+        ell += _KERNEL_STEP
+        live = live[:, ~found & (ell <= w)]
+        done = int(live[4, 0] // width if live.shape[1] else first + len(rows)) - first
+        if done:
+            yield first, rows[:done]
+            first += done
+            rows = rows[done:]
+
+
+def _row_kernel(ctx, ns):
+    """Rows ns, shape (len(ns), K + 1), from _kernel_rows."""
+    return np.concatenate([np.zeros((0, ctx.K + 1), dtype=bool),
+                           *(rows for _, rows in _kernel_rows(ctx, ns))])
 
 
 def _smallest_factors(limit):
@@ -284,12 +330,6 @@ def _prime_power_marks(N, K):
     return marks
 
 
-# Rows are solved in runs of max(1, _BLOCK_CELLS // K) consecutive rows: enough
-# cells to amortize the kernel's per-round numpy calls when a row holds only a
-# few, few enough that a round's arrays stay near 10 MB.
-_BLOCK_CELLS = 1 << 15
-
-
 _POOL_CTX = None
 
 
@@ -303,17 +343,19 @@ def _pool_block(ns):
 
 
 def _member_rows(N, K, workers=1, start_n=1):
-    """Yield (first_n, prime_rows, prime_power_rows), one per block of rows,
-    in row order.
+    """Yield (first_n, prime_rows, prime_power_rows) for rows start_n..N, a
+    run of consecutive rows at a time, in row order.
 
     Row i of each boolean array, shape (rows, K + 1), is row first_n + i,
     indexed by k with column 0 unused. The prime-power marks are scattered
-    onto each block in one step. Blocks go to min(workers, blocks) forked
-    workers, which share the context copy-on-write, and are merged back in
-    row order, so the stream is identical for any worker count; a single
-    block is solved in-process. A worker that dies raises BrokenProcessPool
-    here. With start_n > N there is nothing to do, and neither the context
-    nor the marks are built.
+    onto each run in one step. In-process, one cell kernel runs over all the
+    rows and each run is a prefix of rows it has finished. With more than
+    one block of max(1, _BLOCK_CELLS // K) rows and more than one worker,
+    the blocks go to min(workers, blocks) forked workers, which share the
+    context copy-on-write, and are merged back in row order; the rows are
+    identical for any worker count. A worker that dies raises
+    BrokenProcessPool here. With start_n > N there is nothing to do, and
+    neither the context nor the marks are built.
     """
     if start_n > N:
         return
@@ -328,16 +370,16 @@ def _member_rows(N, K, workers=1, start_n=1):
     per = max(1, _BLOCK_CELLS // K)
     blocks = [range(n, min(n + per, N + 1)) for n in range(start_n, N + 1, per)]
 
-    def finish(ns, prime_rows):
-        lo, hi = np.searchsorted(mark_n, [ns.start, ns.stop])
+    def finish(first, prime_rows):
+        lo, hi = np.searchsorted(mark_n, [first, first + len(prime_rows)])
         power_rows = prime_rows.copy()
-        power_rows[mark_n[lo:hi] - ns.start, mark_k[lo:hi]] = True
-        return ns.start, prime_rows, power_rows
+        power_rows[mark_n[lo:hi] - first, mark_k[lo:hi]] = True
+        return first, prime_rows, power_rows
 
     workers = min(workers, len(blocks))
     if workers == 1:
-        for ns in blocks:
-            yield finish(ns, _row_kernel(ctx, ns))
+        for i, rows in _kernel_rows(ctx, range(start_n, N + 1)):
+            yield finish(start_n + i, rows)
         return
     # forked workers inherit the imported modules and the context; the
     # process-pool module loads on this first use, not with the package
@@ -349,7 +391,7 @@ def _member_rows(N, K, workers=1, start_n=1):
         def merge():
             ns, future = pending.popleft()
             packed = future.result()
-            return finish(ns, np.unpackbits(packed, axis=1, count=K + 1).astype(bool))
+            return finish(ns.start, np.unpackbits(packed, axis=1, count=K + 1).astype(bool))
 
         for ns in blocks:
             pending.append((ns, pool.submit(_pool_block, ns)))
@@ -435,17 +477,43 @@ def _write_checkpoint(path, d_max, step, rows_done, missed):
     os.replace(tmp, path)
 
 
+def _is_count(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _read_checkpoint(path, d_max):
     """(rows_done, missed) of a checkpoint; its step does not matter, since
-    the missed list is the same for every step."""
+    the missed list is the same for every step.
+
+    A file that is not a checkpoint of this d_max raises ValueError: a key
+    missing, rows_done outside [0, d_max], or a missed pair that repeats or
+    lies outside [1, rows_done] x [1, d_max].
+    """
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("version") != CHECKPOINT_VERSION:
+    if not isinstance(doc, dict):
+        raise ValueError("checkpoint is not a JSON object")
+    lacking = {"version", "dmax", "rows_done", "missed"} - doc.keys()
+    if lacking:
+        raise ValueError("checkpoint lacks " + ", ".join(sorted(lacking)))
+    if doc["version"] != CHECKPOINT_VERSION:
         raise ValueError("unsupported checkpoint version")
-    if doc.get("dmax") != d_max:
+    if doc["dmax"] != d_max:
         raise ValueError("checkpoint was written for different parameters")
-    missed = [GroupShape(n, k) for n, k in doc["missed"]]
-    return int(doc["rows_done"]), missed
+    rows_done, pairs = doc["rows_done"], doc["missed"]
+    if not _is_count(rows_done) or not 0 <= rows_done <= d_max:
+        raise ValueError(f"checkpoint rows_done {rows_done!r} is not in [0, {d_max}]")
+    if not isinstance(pairs, list):
+        raise ValueError("checkpoint missed is not a list of pairs")
+    for pair in pairs:
+        if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_count, pair))
+                and 1 <= pair[0] <= rows_done and 1 <= pair[1] <= d_max):
+            raise ValueError(f"checkpoint missed pair {pair!r} is not in "
+                             f"[1, {rows_done}] x [1, {d_max}]")
+    missed = [GroupShape(n, k) for n, k in pairs]
+    if len(set(missed)) != len(missed):
+        raise ValueError("checkpoint repeats a missed pair")
+    return rows_done, missed
 
 
 def f_series(d_max, step=1, workers=None, resume=None, checkpoint_seconds=30.0):
@@ -453,8 +521,9 @@ def f_series(d_max, step=1, workers=None, resume=None, checkpoint_seconds=30.0):
 
     Computes one bulk survey of [1, d_max]^2 and reads every requested D
     off the sorted missed list. With a resume path, progress is saved at
-    the first block end after each checkpoint_seconds of wall-clock time
-    and picked up on the next call.
+    the first end of a run of finished rows after each checkpoint_seconds
+    of wall-clock time (a pool block's end with several workers) and picked
+    up on the next call.
     """
     if step < 1:
         raise ValueError("step must be positive")

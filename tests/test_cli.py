@@ -111,6 +111,21 @@ def test_fcurve_resume(tmp_path, capsys):
     assert code == 2  # checkpoint keyed to a different run
 
 
+def test_fcurve_resume_rejects_bad_checkpoint(tmp_path, capsys):
+    # repeated pairs beyond rows_done would give f(30) = 23 instead of 21,
+    # and a file without its missed list is not a checkpoint: both exit 2
+    ck = tmp_path / "ck.json"
+    code, out = run(capsys, "fcurve", "--dmax", "30", "--step", "30", "--format", "csv")
+    assert code == 0 and out.splitlines()[-1] == "30,21"
+    ck.write_text(json.dumps({"version": 1, "dmax": 30, "step": 30, "rows_done": 3,
+                              "missed": [[29, 1], [29, 1]]}))
+    code, out = run(capsys, "fcurve", "--dmax", "30", "--step", "30", "--resume", str(ck))
+    assert code == 2 and out == ""
+    ck.write_text(json.dumps({"version": 1, "dmax": 30, "step": 30, "rows_done": 3}))
+    code, out = run(capsys, "fcurve", "--dmax", "30", "--step", "30", "--resume", str(ck))
+    assert code == 2 and out == ""
+
+
 def test_grid_csv(capsys):
     code, out = run(capsys, "grid", "--nmax", "5", "--kmax", "5",
                     "--format", "csv", "--header")

@@ -179,6 +179,71 @@ def test_f_series_checkpoints_on_block_ends(tmp_path, monkeypatch):
         assert f_series(40, step=5, workers=2, resume=path) == want, rows_done
 
 
+def test_f_series_checkpoints_serial(tmp_path, monkeypatch):
+    # in-process, every finished prefix of rows with the interval elapsed
+    # writes the missed pairs of the rows done so far, and each resumes to
+    # the series
+    monkeypatch.setattr(counting, "_BLOCK_CELLS", 7 * 40)
+    want = f_series(40, step=5)
+    pairs = survey(40, 40).missed
+    path = str(tmp_path / "ck.json")
+    write = counting._write_checkpoint
+    written = []
+
+    def record(path, d_max, step, rows_done, missed):
+        write(path, d_max, step, rows_done, missed)
+        with open(path) as fh:
+            written.append((rows_done, list(missed), fh.read()))
+
+    monkeypatch.setattr(counting, "_write_checkpoint", record)
+    assert f_series(40, step=5, workers=1, resume=path, checkpoint_seconds=0.0) == want
+    monkeypatch.setattr(counting, "_write_checkpoint", write)
+    done = [rows_done for rows_done, _, _ in written]
+    assert len(done) > 3 and done[-2:] == [40, 40]
+    assert done[:-1] == sorted(set(done[:-1]))
+    for rows_done, missed, doc in written:
+        assert missed == [s for s in pairs if s.n <= rows_done], rows_done
+        with open(path, "w") as fh:
+            fh.write(doc)
+        assert f_series(40, step=5, workers=1, resume=path) == want, rows_done
+
+
+def _checkpoint_doc(**change):
+    doc = {"version": counting.CHECKPOINT_VERSION, "dmax": 30, "step": 5,
+           "rows_done": 20, "missed": [[11, 1], [11, 14], [13, 6]]}
+    doc.update(change)
+    return {key: value for key, value in doc.items() if value is not None}
+
+
+@pytest.mark.parametrize("change", [
+    dict(missed=None), dict(rows_done=None), dict(version=None), dict(dmax=None),
+    dict(rows_done=-1), dict(rows_done=31), dict(rows_done=2.5), dict(rows_done="20"),
+    dict(rows_done=3, missed=[[29, 1], [29, 1]]),
+    dict(missed=[[11, 1], [13, 6], [11, 1]]),
+    dict(missed=[[21, 1]]), dict(missed=[[0, 1]]), dict(missed=[[5, 0]]), dict(missed=[[5, 31]]),
+    dict(missed=[[5]]), dict(missed=[[5, 1.0]]), dict(missed=[[5, True]]), dict(missed={"5": 1}),
+])
+def test_read_checkpoint_rejects_bad_files(tmp_path, change):
+    path = tmp_path / "ck.json"
+    path.write_text(json.dumps(_checkpoint_doc(**change)))
+    with pytest.raises(ValueError):
+        f_series(30, step=5, resume=str(path))
+
+
+def test_read_checkpoint_accepts_edges(tmp_path):
+    # rows_done 0 with no pairs, and pairs on the corners of the range
+    path = tmp_path / "ck.json"
+    want = f_series(30, step=5)
+    path.write_text(json.dumps(_checkpoint_doc(rows_done=0, missed=[])))
+    assert counting._read_checkpoint(str(path), 30) == (0, [])
+    assert f_series(30, step=5, resume=str(path)) == want
+    path.write_text(json.dumps(_checkpoint_doc(missed=[[1, 30], [20, 1]])))
+    assert counting._read_checkpoint(str(path), 30) == (20, [GroupShape(1, 30), GroupShape(20, 1)])
+    path.write_text("[]")
+    with pytest.raises(ValueError):
+        counting._read_checkpoint(str(path), 30)
+
+
 def test_workers_bit_identical(monkeypatch):
     # blocks of five rows, so that the surveys take the pool
     monkeypatch.setattr(counting, "_BLOCK_CELLS", 5 * 40)
@@ -248,6 +313,53 @@ def test_kernel_matches_per_shape_predicate():
         got = counting._row_kernel(ctx, ns)
         assert np.array_equal(got, _predicate_rows(ns, K)), (N, K)
         assert not got[:, 0].any()
+
+
+def _kernel_rows_checked(ctx, ns):
+    # _kernel_rows over ns, drawn lazily: its prefixes must be contiguous, in
+    # order and cover each row once, and the rows drawn but not yet yielded
+    # must stay within the pool's bound, whatever the length of ns
+    K = ctx.K
+    rounds = -(-(2 * math.isqrt(4 * K) + 1) // counting._KERNEL_STEP)
+    bound = (rounds + 1) * max(1, counting._BLOCK_CELLS // K)
+    drawn = []
+
+    def draw():
+        for n in ns:
+            drawn.append(n)
+            yield n
+
+    parts = [np.zeros((0, K + 1), dtype=bool)]
+    done = 0
+    for first, rows in counting._kernel_rows(ctx, draw()):
+        assert first == done and len(rows) > 0
+        assert len(drawn) - first <= bound, (len(drawn), first, bound)
+        parts.append(rows.copy())
+        done += len(rows)
+    assert done == len(drawn) == len(ns)
+    return np.concatenate(parts)
+
+
+def test_kernel_rows_match_predicate(monkeypatch):
+    # non-consecutive, unsorted and empty row lists; a pool of one cell, so
+    # that one row is admitted at a time, and a pool narrower than a row
+    cases = [(40, [1, 5, 6, 13, 40, 2]), (100, [7, 3, 90]), (40, []), (1, [1, 2, 3, 200])]
+    for cells in (None, 1, 37):
+        if cells is not None:
+            monkeypatch.setattr(counting, "_BLOCK_CELLS", cells)
+        for K, ns in cases:
+            got = _kernel_rows_checked(counting._SieveContext(max(ns, default=1), K), ns)
+            assert np.array_equal(got, _predicate_rows(ns, K)), (cells, K, ns)
+            assert np.array_equal(got, counting._row_kernel(counting._SieveContext(1, K), ns))
+
+
+def test_kernel_rows_hold_a_bounded_window(monkeypatch):
+    # a pool of three rows of 40 cells over 300 rows: the rows held stay
+    # within (ceil(25 / step) + 1) * 3 however many rows there are
+    monkeypatch.setattr(counting, "_BLOCK_CELLS", 3 * 40)
+    ns = list(range(1, 301))
+    got = _kernel_rows_checked(counting._SieveContext(300, 40), ns)
+    assert np.array_equal(got, _predicate_rows(ns, 40))
 
 
 def test_sieve_row_matches_membership_grid():
