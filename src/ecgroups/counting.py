@@ -109,9 +109,16 @@ _KERNEL_STEP = 4
 # round's numpy calls, few enough that a round's arrays stay near 1 MB. At
 # D = 1500 rounds of 16k cells or more cost 0.7 us a cell, while a kernel
 # that drained each block of rows spent 0.95 s on its 819 rounds of under
-# 1,000 cells (116k cell-rounds). Pool blocks take max(1, _BLOCK_CELLS // K)
-# rows.
+# 1,000 cells (116k cell-rounds).
 _BLOCK_CELLS = 1 << 15
+
+# A pool task runs the kernel over up to _TASK_POOLS pool-fulls of rows, so
+# that its drain to a tail of slow cells, which is twice as many rounds at
+# step 4 as at 8, is paid once per several pool-fulls. On the D = 37550
+# context, where a pool-full is one row, tasks of one row cost 0.31 s and
+# 0.47 s a row at n = 8000 and 37550 against 0.24 s and 0.35 s at step 8;
+# tasks of six rows cost 0.23 s and 0.28 s.
+_TASK_POOLS = 8
 
 
 def _kernel_rows(ctx, ns):
@@ -349,10 +356,12 @@ def _member_rows(N, K, workers=1, start_n=1):
     Row i of each boolean array, shape (rows, K + 1), is row first_n + i,
     indexed by k with column 0 unused. The prime-power marks are scattered
     onto each run in one step. In-process, one cell kernel runs over all the
-    rows and each run is a prefix of rows it has finished. With more than
-    one block of max(1, _BLOCK_CELLS // K) rows and more than one worker,
-    the blocks go to min(workers, blocks) forked workers, which share the
-    context copy-on-write, and are merged back in row order; the rows are
+    rows and each run is a prefix of rows it has finished. Pool blocks hold
+    between one and _TASK_POOLS pool-fulls of max(1, _BLOCK_CELLS // K)
+    rows, fewer where that leaves two blocks a worker. With more than one
+    block and more than one worker, the blocks go to min(workers, blocks)
+    forked workers, which share the context copy-on-write, each running the
+    kernel over its block, and are merged back in row order; the rows are
     identical for any worker count. A worker that dies raises
     BrokenProcessPool here. With start_n > N there is nothing to do, and
     neither the context nor the marks are built.
@@ -367,7 +376,10 @@ def _member_rows(N, K, workers=1, start_n=1):
     del marks                       # its sets need not outlive the survey's start
     order = np.argsort(mark_n, kind="stable")
     mark_n, mark_k = mark_n[order], mark_k[order]
-    per = max(1, _BLOCK_CELLS // K)
+    # a pool-full of rows or more a task, and two tasks a worker or more
+    # where that allows
+    pool_rows = max(1, _BLOCK_CELLS // K)
+    per = max(pool_rows, min(_TASK_POOLS * pool_rows, -(-(N + 1 - start_n) // (2 * workers))))
     blocks = [range(n, min(n + per, N + 1)) for n in range(start_n, N + 1, per)]
 
     def finish(first, prime_rows):

@@ -371,6 +371,7 @@ def test_out_file(tmp_path, capsys):
 def test_workers_identical(monkeypatch, capsys):
     # blocks of four rows, so that the survey takes the pool
     monkeypatch.setattr(counting, "_BLOCK_CELLS", 4 * 20)
+    monkeypatch.setattr(counting, "_TASK_POOLS", 1)
     _, one = run(capsys, "missed", "--nmax", "30", "--kmax", "20",
                  "--workers", "1", "--format", "csv")
     _, many = run(capsys, "missed", "--nmax", "30", "--kmax", "20",

@@ -157,6 +157,7 @@ def test_f_series_checkpoints_on_block_ends(tmp_path, monkeypatch):
     # with every interval elapsed, each block end of the pool's merge writes
     # the missed pairs of the rows done so far, and each resumes to the series
     monkeypatch.setattr(counting, "_BLOCK_CELLS", 7 * 40)
+    monkeypatch.setattr(counting, "_TASK_POOLS", 1)
     want = f_series(40, step=5)
     pairs = survey(40, 40).missed
     path = str(tmp_path / "ck.json")
@@ -247,6 +248,7 @@ def test_read_checkpoint_accepts_edges(tmp_path):
 def test_workers_bit_identical(monkeypatch):
     # blocks of five rows, so that the surveys take the pool
     monkeypatch.setattr(counting, "_BLOCK_CELLS", 5 * 40)
+    monkeypatch.setattr(counting, "_TASK_POOLS", 1)
     one = survey(60, 40, workers=1)
     many = survey(60, 40, workers=3)
     assert one == many
@@ -259,6 +261,7 @@ def test_pool_independent_of_block_size(monkeypatch):
     # the forked pool against the in-process path: one-row blocks, blocks of
     # three rows with a short last one, and blocks of seven and eight rows,
     # whose edges carry prime-power marks
+    monkeypatch.setattr(counting, "_TASK_POOLS", 1)
     assert any(n % 7 in (0, 1) for n in counting._prime_power_marks(60, 40))
     assert any(n % 8 in (0, 1) for n in counting._prime_power_marks(35, 35))
     want = survey(60, 40, workers=1)
@@ -286,6 +289,26 @@ def test_pool_sized_to_blocks(monkeypatch):
     monkeypatch.setattr(counting, "_BLOCK_CELLS", 4 * 12)
     assert survey(12, 12, workers=8) == want
     assert sizes == [3]
+
+
+def test_pool_tasks_span_several_pool_fulls(monkeypatch):
+    # a task holds _TASK_POOLS pool-fulls of rows, or fewer where that
+    # leaves two tasks a worker, and never less than a pool-full
+    tasks = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def submit(self, fn, ns):
+            tasks.append(len(ns))
+            return super().submit(fn, ns)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    want = survey(60, 40)
+    for cells, workers, sizes in ((40, 2, [8] * 7 + [4]), (40, 8, [4] * 15),
+                                  (7 * 40, 8, [7] * 8 + [4])):
+        monkeypatch.setattr(counting, "_BLOCK_CELLS", cells)
+        tasks.clear()
+        assert survey(60, 40, workers=workers) == want
+        assert tasks == sizes, (cells, workers)
 
 
 def _predicate_rows(ns, K):
@@ -496,6 +519,7 @@ def _alarm(signum, frame):
 def test_dead_worker_raises(monkeypatch):
     # blocks of three rows, so that the survey takes the pool
     monkeypatch.setattr(counting, "_BLOCK_CELLS", 3 * 20)
+    monkeypatch.setattr(counting, "_TASK_POOLS", 1)
     monkeypatch.setattr(counting, "_pool_block", dying_pool_block)
     old = signal.signal(signal.SIGALRM, _alarm)
     signal.alarm(60)
