@@ -65,10 +65,8 @@ def is_prime(x: int) -> bool:
         if x < bound:
             witnesses = bases
             break
+    # past trial division x >= 67, above every base of its tier
     for a in witnesses:
-        a %= x
-        if a == 0:
-            continue
         y = pow(a, d, x)
         if y == 1 or y == x - 1:
             continue

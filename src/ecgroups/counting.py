@@ -17,15 +17,15 @@ from one numpy pass over chunks of rows: q = p^2 from the primes p with
 p^2 = 1 mod n, and higher powers from one ascending table of p^j, its
 entries q = 1 mod n. They are kept as two arrays (n, k), sorted by n, and
 scattered onto each run of finished rows. In-process the kernel runs
-over all rows at once; with several workers, blocks of rows go to forked
-pool workers, each running the same kernel. The surveys consume the rows
-a run at a time.
+over all rows at once; with several workers, one Executor.map sends
+blocks of rows, each with the context, to forked pool workers running the
+same kernel. The surveys consume the rows a run at a time.
 """
 
 from __future__ import annotations
 
-import collections
 import concurrent.futures
+import functools
 import itertools
 import json
 import math
@@ -337,18 +337,6 @@ def _prime_power_marks(N, K):
     return marks
 
 
-_POOL_CTX = None
-
-
-def _pool_init(ctx):
-    global _POOL_CTX
-    _POOL_CTX = ctx
-
-
-def _pool_block(ns):
-    return np.packbits(_row_kernel(_POOL_CTX, ns), axis=1)
-
-
 def _member_rows(N, K, workers=1, start_n=1):
     """Yield (first_n, prime_rows, prime_power_rows) for rows start_n..N, a
     run of consecutive rows at a time, in row order.
@@ -359,9 +347,9 @@ def _member_rows(N, K, workers=1, start_n=1):
     rows and each run is a prefix of rows it has finished. Pool blocks hold
     between one and _TASK_POOLS pool-fulls of max(1, _BLOCK_CELLS // K)
     rows, fewer where that leaves two blocks a worker. With more than one
-    block and more than one worker, the blocks go to min(workers, blocks)
-    forked workers, which share the context copy-on-write, each running the
-    kernel over its block, and are merged back in row order; the rows are
+    block and more than one worker, one Executor.map hands the blocks to
+    min(workers, blocks) forked workers, the context travelling with each
+    task, and returns each block's rows in row order; the rows are
     identical for any worker count. A worker that dies raises
     BrokenProcessPool here. With start_n > N there is nothing to do, and
     neither the context nor the marks are built.
@@ -393,24 +381,13 @@ def _member_rows(N, K, workers=1, start_n=1):
         for i, rows in _kernel_rows(ctx, range(start_n, N + 1)):
             yield finish(start_n + i, rows)
         return
-    # forked workers inherit the imported modules and the context; the
-    # process-pool module loads on this first use, not with the package
+    # forked workers inherit the imported modules; the context travels with
+    # each task. The process-pool module loads on this first use, not with
+    # the package
     with concurrent.futures.ProcessPoolExecutor(
-            workers, mp_context=multiprocessing.get_context("fork"),
-            initializer=_pool_init, initargs=(ctx,)) as pool:
-        pending = collections.deque()
-
-        def merge():
-            ns, future = pending.popleft()
-            packed = future.result()
-            return finish(ns.start, np.unpackbits(packed, axis=1, count=K + 1).astype(bool))
-
-        for ns in blocks:
-            pending.append((ns, pool.submit(_pool_block, ns)))
-            if len(pending) > 2 * workers:
-                yield merge()
-        while pending:
-            yield merge()
+            workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        for ns, rows in zip(blocks, pool.map(functools.partial(_row_kernel, ctx), blocks)):
+            yield finish(ns.start, rows)
 
 
 # ---------------------------------------------------------------------------

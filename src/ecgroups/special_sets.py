@@ -75,23 +75,6 @@ class FixedDegreeWitness:
     ell: int
 
 
-def _scan_degree_one(k, T, require_realizable):
-    w = math.isqrt(4 * k)
-    out = []
-    for n in range(1, T + 1):
-        nn = n * n
-        for ell in range(-w, w + 1):
-            v = k * nn + ell * n + 1
-            if v < 2 or not arith.is_prime(v):
-                continue
-            if require_realizable:
-                if shape_realizable_over(v, GroupShape(n, k), _decomp=(v, 1)) is None:
-                    continue
-            out.append(n)
-            break
-    return out
-
-
 def _prime_power_hits(m, k, primes):
     """(n, p, ell) with p^m = k n^2 + ell n + 1, p in primes, ell^2 <= 4k.
 
@@ -115,7 +98,8 @@ def _n_set(m, k, T, require_realizable):
         raise ValueError("degree must be positive")
     vmax = arith.candidate_bound(T, k)
     if m == 1:
-        return _scan_degree_one(k, T, require_realizable)
+        # over F_p every prime candidate is a witness
+        return [n for n in range(1, T + 1) if smallest_prime_witness(GroupShape(n, k)) is not None]
     # max(2, ...) may add p = 2 beyond the m-th root of vmax; its hits have n > T
     primes = arith.primes_in_range(2, max(2, arith.iroot(vmax, m))).tolist()
     out = set()

@@ -76,6 +76,17 @@ def test_mr_tier_bounds_are_pseudoprimes_to_their_bases():
     assert bounds == sorted(bounds) and bounds[-1] == 2 ** 64
 
 
+def test_mr_bases_below_every_input_of_their_tier():
+    # is_prime reduces no base mod x: trial division by every prime below 67
+    # leaves x >= 67, and a tier's inputs are at least the bound of the tier
+    # before it, so every base is below every input of its tier
+    assert arith._SMALL_PRIMES == tuple(p for p in range(2, 67) if trial_division_is_prime(p))
+    previous = 0
+    for bound, bases in arith._MR_TIERS:
+        assert max(bases) < max(67, previous), bound
+        previous = bound
+
+
 def test_sqmod_at_the_extremes_of_its_bound():
     # int64 path: 2 m c <= 2^63 at the largest base, 1662803, of the tier below
     # 1,122,004,669,633, and the largest window factor below BATCH_BOUND;

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from ecgroups import cli, counting, curve_oracle
+from ecgroups import arith, cli, counting, curve_oracle
 
 MISSED_25 = [
     (11, 1), (11, 14), (13, 6), (13, 25), (15, 4), (19, 7), (19, 10),
@@ -333,6 +333,28 @@ def test_npsum_respects_address_space_limit():
         assert "sum's" in proc.stderr, method
 
 
+def test_degree_two_scans_check_memory_before_sieving(monkeypatch, capsys):
+    # below a 1 MB budget the degree-2 scans of sets, nm1 and n2k exit 3
+    # before listing a prime; the same requests run at the real budget
+    def no_sieve(*args, **kwargs):
+        raise AssertionError("listed primes before the memory check")
+
+    requests = (["sets", "--m", "2", "--k", "1", "--tmax", "100000"],
+                ["sets", "--m", "2", "--k", "2", "--tmax", "1000000", "--tilde"],
+                ["nm1", "--m", "2", "--tmax", "100000", "--format", "csv"],
+                ["n2k", "--k", "3", "--tmax", "100000"])
+    monkeypatch.setattr(arith, "primes_in_range", no_sieve)
+    monkeypatch.setattr(counting, "_memory_budget", lambda: 10 ** 6)
+    for argv in requests:
+        assert cli.main(argv) == 3, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "n-set scan" in captured.err, argv
+    monkeypatch.undo()
+    for argv in requests:
+        assert cli.main(argv) == 0, argv
+        capsys.readouterr()
+
+
 def test_benchmark_tracer_hooks(tmp_path):
     # the benchmark's tracer rebinds package attributes by name, so a rename
     # it depends on fails here instead of only in a traced benchmark run; the
@@ -379,7 +401,7 @@ def test_workers_identical(monkeypatch, capsys):
     assert one == many
 
 
-def dying_pool_block(ns):
+def dying_row_kernel(ctx, ns):
     # stands in for the pool's block function: every worker dies
     os.kill(os.getpid(), signal.SIGKILL)
 
@@ -391,7 +413,7 @@ def _alarm(signum, frame):
 def test_dead_worker_exit_code(monkeypatch, capsys):
     # blocks of four rows, so that the survey takes the pool
     monkeypatch.setattr(counting, "_BLOCK_CELLS", 4 * 12)
-    monkeypatch.setattr(counting, "_pool_block", dying_pool_block)
+    monkeypatch.setattr(counting, "_row_kernel", dying_row_kernel)
     old = signal.signal(signal.SIGALRM, _alarm)
     signal.alarm(60)
     try:

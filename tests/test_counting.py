@@ -6,11 +6,13 @@ rectangle. The two double-sum evaluations must agree exactly.
 """
 
 import concurrent.futures
+import functools
 import json
 import math
 import os
 import random
 import signal
+import time
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -297,9 +299,9 @@ def test_pool_tasks_span_several_pool_fulls(monkeypatch):
     tasks = []
 
     class Recording(concurrent.futures.ProcessPoolExecutor):
-        def submit(self, fn, ns):
-            tasks.append(len(ns))
-            return super().submit(fn, ns)
+        def map(self, fn, blocks, **kw):
+            tasks.extend(map(len, blocks))
+            return super().map(fn, blocks, **kw)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
     want = survey(60, 40)
@@ -309,6 +311,38 @@ def test_pool_tasks_span_several_pool_fulls(monkeypatch):
         tasks.clear()
         assert survey(60, 40, workers=workers) == want
         assert tasks == sizes, (cells, workers)
+
+
+_REAL_ROW_KERNEL = counting._row_kernel
+
+
+def _slow_first_block(log, ctx, ns):
+    # stands in for the pool's block function: the first block sleeps, so
+    # later blocks finish first; each block appends its first row to log
+    if ns.start == 1:
+        time.sleep(0.5)
+    rows = _REAL_ROW_KERNEL(ctx, ns)
+    with open(log, "a") as fh:
+        fh.write(f"{ns.start}\n")
+    return rows
+
+
+def test_pool_rows_in_order_when_blocks_finish_out_of_order(tmp_path, monkeypatch):
+    # blocks of three rows; the first finishes last, and the runs still come
+    # out in ascending first_n, equal to the in-process run
+    monkeypatch.setattr(counting, "_BLOCK_CELLS", 3 * 20)
+    monkeypatch.setattr(counting, "_TASK_POOLS", 1)
+    spi, spp = membership_grid(30, 20, workers=1)
+    log = tmp_path / "finished"
+    monkeypatch.setattr(counting, "_row_kernel", functools.partial(_slow_first_block, str(log)))
+    runs = list(counting._member_rows(30, 20, workers=2))
+    assert [first for first, _, _ in runs] == list(range(1, 31, 3))
+    for first, rows_pi, rows_pp in runs:
+        assert np.array_equal(rows_pi, spi[first:first + 3]), first
+        assert np.array_equal(rows_pp, spp[first:first + 3]), first
+    finished = log.read_text().split()
+    assert sorted(map(int, finished)) == list(range(1, 31, 3))
+    assert finished[-1] == "1"
 
 
 def _predicate_rows(ns, K):
@@ -502,14 +536,11 @@ def test_unit_square_roots_match_brute_force():
         assert sorted(roots[ends[n - 1]:ends[n]].tolist()) == want, n
 
 
-_REAL_POOL_BLOCK = counting._pool_block
-
-
-def dying_pool_block(ns):
+def dying_row_kernel(ctx, ns):
     # stands in for the pool's block function; its worker dies on row 7
     if 7 in ns:
         os.kill(os.getpid(), signal.SIGKILL)
-    return _REAL_POOL_BLOCK(ns)
+    return _REAL_ROW_KERNEL(ctx, ns)
 
 
 def _alarm(signum, frame):
@@ -520,7 +551,7 @@ def test_dead_worker_raises(monkeypatch):
     # blocks of three rows, so that the survey takes the pool
     monkeypatch.setattr(counting, "_BLOCK_CELLS", 3 * 20)
     monkeypatch.setattr(counting, "_TASK_POOLS", 1)
-    monkeypatch.setattr(counting, "_pool_block", dying_pool_block)
+    monkeypatch.setattr(counting, "_row_kernel", dying_row_kernel)
     old = signal.signal(signal.SIGALRM, _alarm)
     signal.alarm(60)
     try:

@@ -79,7 +79,7 @@ def test_realizable_subset_of_candidates():
 def test_degree_one_sets_agree():
     # over a prime field every candidate is realizable
     for k in range(1, 21):
-        assert ss.realizable_n_set(1, k, 300) == ss.candidate_n_set(1, k, 300)
+        assert ss.realizable_n_set(1, k, 300) == _reference_n_set(1, k, 300, True)
 
 
 def _reference_n_set(m, k, T, realizable):
