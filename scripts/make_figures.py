@@ -64,7 +64,7 @@ def main():
     ap.add_argument("--step", type=int, default=10)
     ap.add_argument("--grid", type=int, default=200,
                     help="side length of the square beta/vartheta grids")
-    ap.add_argument("--workers", type=int, default=None)
+    ap.add_argument("--workers", type=int, default=1)
     args = ap.parse_args()
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)

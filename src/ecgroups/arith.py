@@ -16,6 +16,7 @@ callers get an OverflowError instead of silently huge computations.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -238,12 +239,10 @@ def iroot(x: int, r: int) -> int:
         return x
     if r == 2:
         return math.isqrt(x)
-    if x.bit_length() <= r:
-        return 1
-    # float seed, then exact correction; the loops move at most a step or two
+    # float seed, then exact correction; the loops move at most a step or two.
+    # For x >= 2 the seed rounds to 1 or more, and the first loop takes every
+    # x < 2^r down to 1
     y = int(round(x ** (1.0 / r)))
-    if y < 1:
-        y = 1
     while y ** r > x:
         y -= 1
     while (y + 1) ** r <= x:
@@ -302,10 +301,10 @@ def _base_primes(limit: int) -> np.ndarray:
     return np.flatnonzero(mask).astype(np.int64)
 
 
-def primes_in_range(lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT) -> np.ndarray:
+def primes_in_range(lo: int, hi: int) -> np.ndarray:
     """All primes in the inclusive range [lo, hi], ascending.
 
-    Segmented: memory is bounded by segment_size, not by hi.
+    Segmented: memory is bounded by DEFAULT_SEGMENT, not by hi.
     """
     if lo > hi:
         raise ValueError("lo must not exceed hi")
@@ -317,7 +316,7 @@ def primes_in_range(lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT) -> np
     out = []
     start = lo
     while start <= hi:
-        stop = min(start + segment_size - 1, hi)
+        stop = min(start + DEFAULT_SEGMENT - 1, hi)
         mask = np.ones(stop - start + 1, dtype=bool)
         for p in base:
             p = int(p)
@@ -344,8 +343,9 @@ def factorize(n: int) -> dict[int, int]:
         raise ValueError("factorize needs n >= 1")
     _check_range(n)
     out: dict[int, int] = {}
-    for p in _SMALL_PRIMES:
-        if p * p > n:
+    prime_rest = is_prime(n)
+    for p in itertools.chain(_SMALL_PRIMES, itertools.count(67, 2)):
+        if prime_rest or p * p > n:
             break
         if n % p == 0:
             e = 0
@@ -353,20 +353,9 @@ def factorize(n: int) -> dict[int, int]:
                 n //= p
                 e += 1
             out[p] = e
-    if n > 1 and not is_prime(n):
-        p = _SMALL_PRIMES[-1] + 2
-        while p * p <= n:
-            if n % p == 0:
-                e = 0
-                while n % p == 0:
-                    n //= p
-                    e += 1
-                out[p] = e
-                if n == 1 or is_prime(n):
-                    break
-            p += 2
+            prime_rest = is_prime(n)
     if n > 1:
-        out[n] = out.get(n, 0) + 1
+        out[n] = 1
     return out
 
 

@@ -34,8 +34,8 @@ def _build_parser():
                                               "over finite fields")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--workers", type=int, default=None,
-                        help="worker processes (default: ECG_WORKERS or 1)")
+    common.add_argument("--workers", type=int, default=1,
+                        help="worker processes (default: 1)")
     common.add_argument("--out", default=None, help="write the payload to a file")
     common.add_argument("--header", action="store_true",
                         help="prepend a header row in CSV mode")

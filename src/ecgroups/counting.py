@@ -42,14 +42,8 @@ from .realizability import GroupShape, shape_realizable_over
 
 CHECKPOINT_VERSION = 1
 
-
-def _resolve_workers(workers):
-    if workers is None:
-        env = os.environ.get("ECG_WORKERS", "")
-        workers = int(env) if env.strip() else 1
-    if workers < 1:
-        raise ValueError("workers must be positive")
-    return workers
+# f_series with a resume path writes its checkpoint at most this often
+_CHECKPOINT_SECONDS = 30.0
 
 
 @dataclass(frozen=True)
@@ -351,9 +345,11 @@ def _member_rows(N, K, workers=1, start_n=1):
     min(workers, blocks) forked workers, the context travelling with each
     task, and returns each block's rows in row order; the rows are
     identical for any worker count. A worker that dies raises
-    BrokenProcessPool here. With start_n > N there is nothing to do, and
-    neither the context nor the marks are built.
+    BrokenProcessPool here. workers < 1 raises ValueError. With start_n > N
+    there is nothing to do, and neither the context nor the marks are built.
     """
+    if workers < 1:
+        raise ValueError("workers must be positive")
     if start_n > N:
         return
     ctx = _SieveContext(N, K)
@@ -400,10 +396,9 @@ def _missed_shapes(first, spp):
     return map(GroupShape, (rows + first).tolist(), (cols + 1).tolist())
 
 
-def survey(N, K, workers=None):
+def survey(N, K, workers=1):
     """Exact counts and missed pairs for the rectangle [1, N] x [1, K]."""
     arith.candidate_bound(N, K)
-    workers = _resolve_workers(workers)
     n_pi = 0
     n_Pi = 0
     missed = []
@@ -439,11 +434,10 @@ def _require_memory(need, what):
                             f"more than the {have} bytes of memory available")
 
 
-def membership_grid(N, K, workers=None):
+def membership_grid(N, K, workers=1):
     """Boolean membership tables, shape (N+1, K+1), index 0 unused."""
     arith.candidate_bound(N, K)
     _require_memory(2 * (N + 1) * (K + 1), "membership tables")
-    workers = _resolve_workers(workers)
     spi = np.zeros((N + 1, K + 1), dtype=bool)
     spp = np.zeros((N + 1, K + 1), dtype=bool)
     for first, rows_pi, rows_pp in _member_rows(N, K, workers):
@@ -505,18 +499,17 @@ def _read_checkpoint(path, d_max):
     return rows_done, missed
 
 
-def f_series(d_max, step=1, workers=None, resume=None, checkpoint_seconds=30.0):
+def f_series(d_max, step=1, workers=1, resume=None):
     """The missed-pair growth series f(D) = D^2 - #S_Pi(D, D).
 
     Computes one bulk survey of [1, d_max]^2 and reads every requested D
     off the sorted missed list. With a resume path, progress is saved at
-    the first end of a run of finished rows after each checkpoint_seconds
+    the first end of a run of finished rows after each _CHECKPOINT_SECONDS
     of wall-clock time (a pool block's end with several workers) and picked
     up on the next call.
     """
     if step < 1:
         raise ValueError("step must be positive")
-    workers = _resolve_workers(workers)
     arith.candidate_bound(d_max, d_max)
     start_n = 1
     missed = []
@@ -526,7 +519,7 @@ def f_series(d_max, step=1, workers=None, resume=None, checkpoint_seconds=30.0):
     last_write = time.monotonic()
     for first, _, spp in _member_rows(d_max, d_max, workers, start_n=start_n):
         missed += _missed_shapes(first, spp)
-        if resume is not None and time.monotonic() - last_write >= checkpoint_seconds:
+        if resume is not None and time.monotonic() - last_write >= _CHECKPOINT_SECONDS:
             _write_checkpoint(resume, d_max, step, first + len(spp) - 1, missed)
             last_write = time.monotonic()
     if resume is not None:

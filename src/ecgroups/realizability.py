@@ -86,9 +86,16 @@ def trace_admissible(p: int, m: int, a: int) -> WaterhouseCase | None:
 
     At most one case holds: OrdinaryCoprime needs gcd(a, p) = 1, every
     other case has p | a, and those differ in the parity of m or in |a|.
+    Proves p prime first and raises ValueError when it is not; callers that
+    hold a p already proven prime use _trace_case.
     """
     if not is_prime(p):
         raise ValueError("p must be prime")
+    return _trace_case(p, m, a)
+
+
+def _trace_case(p: int, m: int, a: int) -> WaterhouseCase | None:
+    """trace_admissible for a prime p, taken on trust."""
     q = p ** m
     _check_range(q, "field size p^m")
     if a * a > 4 * q:
@@ -131,7 +138,8 @@ def shape_realizable_over(q: int, shape: GroupShape,
     """Witness that some curve over F_q has group Z_n x Z_kn, or None.
 
     _decomp short-circuits the prime-power decomposition of q when the caller
-    already knows it (bulk sweeps); the witness re-validates either way.
+    already knows it (bulk sweeps), its p proven prime by a sieve or by
+    prime_power_decompose; p is not proven again.
     """
     d = _decomp if _decomp is not None else prime_power_decompose(q)
     if d is None:
@@ -144,7 +152,7 @@ def shape_realizable_over(q: int, shape: GroupShape,
     if ell * ell > 4 * k:
         return None
     a = ell * n + 2
-    case = trace_admissible(p, m, a)
+    case = _trace_case(p, m, a)
     if case is None:
         return None
     # p | n would make the p-part of the target group rank 2; it cannot happen

@@ -275,10 +275,8 @@ def balanced_n_set(m, T):
                 hits.add(x + 1)
         fast = sorted(hits)
     lim = min(T, DEFAULT_VERIFY_LIMIT)
-    if lim >= 1:
-        prefix = [n for n in fast if n <= lim]
-        if prefix != realizable_n_set(m, 1, lim):
-            raise RuntimeError("fast path disagrees with the definitional scan")
+    if [n for n in fast if n <= lim] != realizable_n_set(m, 1, lim):
+        raise RuntimeError("fast path disagrees with the definitional scan")
     return fast
 
 
@@ -287,7 +285,10 @@ def balanced_prime_power_only(T):
 
     Returns (members, sufficient): members from the definitions, and the
     subset satisfying the explicit sufficient condition (exactly one of
-    n -/+ 1 prime, all three quadratics composite).
+    n -/+ 1 prime, all three quadratics composite). The window of (n, 1) is
+    (n - 1)^2, n^2 - n + 1, n^2 + 1, n^2 + n + 1, (n + 1)^2, and the squares
+    are never prime, so the quadratics are all composite exactly when n is
+    outside the prime-witness set.
     """
     if T < 1:
         raise ValueError("T must be positive")
@@ -299,10 +300,7 @@ def balanced_prime_power_only(T):
         in_Pi = smallest_prime_power_witness(shape) is not None
         if in_Pi and not in_pi:
             members.append(n)
-        quad_free = not (arith.is_prime(n * n + 1)
-                         or arith.is_prime(n * n + n + 1)
-                         or arith.is_prime(n * n - n + 1))
-        if quad_free and arith.is_prime(n - 1) != arith.is_prime(n + 1):
+        if not in_pi and arith.is_prime(n - 1) != arith.is_prime(n + 1):
             sufficient.append(n)
     assert set(sufficient) <= set(members)
     return members, sufficient

@@ -256,8 +256,9 @@ def test_primes_in_range_fixed():
     assert list(arith.primes_in_range(24, 28)) == []
 
 
-def test_primes_in_range_segmented_matches_one_shot():
-    a = arith.primes_in_range(10 ** 6 - 200, 10 ** 6 + 200, segment_size=32)
+def test_primes_in_range_segmented_matches_one_shot(monkeypatch):
+    monkeypatch.setattr(arith, "DEFAULT_SEGMENT", 32)
+    a = arith.primes_in_range(10 ** 6 - 200, 10 ** 6 + 200)
     b = [x for x in range(10 ** 6 - 200, 10 ** 6 + 201) if trial_division_is_prime(x)]
     assert list(a) == b
 
@@ -320,6 +321,16 @@ def test_factorize_reassembles(n):
         assert trial_division_is_prime(p)
         prod *= p ** e
     assert prod == n
+
+
+def test_factorize_every_small_n_and_large_factors():
+    for n in [*range(1, 20001), 2 ** 61 - 1, 2 * (2 ** 61 - 1), 3 ** 39, 97 ** 9, 67 ** 2 * 71]:
+        fac = arith.factorize(n)
+        assert list(fac) == sorted(fac), n
+        assert all(arith.is_prime(p) and e >= 1 for p, e in fac.items()), n
+        assert math.prod(p ** e for p, e in fac.items()) == n
+    assert arith.factorize(67 ** 2 * 71) == {67: 2, 71: 1}
+    assert arith.factorize(2 * (2 ** 61 - 1)) == {2: 1, 2 ** 61 - 1: 1}
 
 
 def test_base_primes_dtype():

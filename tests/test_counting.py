@@ -123,7 +123,9 @@ def test_f_series_consistent_with_survey():
 def test_f_series_checkpoint_roundtrip(tmp_path, monkeypatch):
     path = str(tmp_path / "ck.json")
     want = f_series(40, step=5)
-    got = f_series(40, step=5, resume=path, checkpoint_seconds=0.0)
+    with monkeypatch.context() as mp:
+        mp.setattr(counting, "_CHECKPOINT_SECONDS", 0.0)
+        got = f_series(40, step=5, resume=path)
     assert got == want
     doc = json.loads(open(path).read())
     assert doc["version"] == counting.CHECKPOINT_VERSION
@@ -172,7 +174,8 @@ def test_f_series_checkpoints_on_block_ends(tmp_path, monkeypatch):
             written.append((rows_done, list(missed), fh.read()))
 
     monkeypatch.setattr(counting, "_write_checkpoint", record)
-    assert f_series(40, step=5, workers=2, resume=path, checkpoint_seconds=0.0) == want
+    monkeypatch.setattr(counting, "_CHECKPOINT_SECONDS", 0.0)
+    assert f_series(40, step=5, workers=2, resume=path) == want
     monkeypatch.setattr(counting, "_write_checkpoint", write)
     assert [rows_done for rows_done, _, _ in written] == [7, 14, 21, 28, 35, 40, 40]
     for rows_done, missed, doc in written:
@@ -199,7 +202,8 @@ def test_f_series_checkpoints_serial(tmp_path, monkeypatch):
             written.append((rows_done, list(missed), fh.read()))
 
     monkeypatch.setattr(counting, "_write_checkpoint", record)
-    assert f_series(40, step=5, workers=1, resume=path, checkpoint_seconds=0.0) == want
+    monkeypatch.setattr(counting, "_CHECKPOINT_SECONDS", 0.0)
+    assert f_series(40, step=5, workers=1, resume=path) == want
     monkeypatch.setattr(counting, "_write_checkpoint", write)
     done = [rows_done for rows_done, _, _ in written]
     assert len(done) > 3 and done[-2:] == [40, 40]
@@ -562,12 +566,19 @@ def test_dead_worker_raises(monkeypatch):
         signal.signal(signal.SIGALRM, old)
 
 
-def test_workers_env_default(monkeypatch):
-    monkeypatch.setenv("ECG_WORKERS", "2")
-    assert survey(25, 25).count_S_Pi == 608
-    monkeypatch.setenv("ECG_WORKERS", "0")
+def test_workers_ignores_environment(monkeypatch):
+    # no environment variable sets the worker count
+    monkeypatch.setenv("ECG_WORKERS", "abc")
+    grid = survey(25, 25)
+    assert (grid.count_S_pi, grid.count_S_Pi) == (604, 608)
+    assert [(s.n, s.k) for s in grid.missed] == MISSED_25
+
+
+def test_workers_checked_on_finished_checkpoint(tmp_path):
+    path = str(tmp_path / "ck.json")
+    f_series(40, resume=path)
     with pytest.raises(ValueError):
-        survey(5, 5)
+        f_series(40, workers=0, resume=path)
 
 
 def test_np_sums_frozen():

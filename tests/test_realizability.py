@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecgroups import arith
+from ecgroups import arith, realizability
 from ecgroups.realizability import (
     GroupShape,
     WaterhouseCase,
@@ -64,6 +64,27 @@ def test_trace_admissible_case_sweep():
 
 
 def test_trace_admissible_rejects_composite_p():
+    with pytest.raises(ValueError):
+        trace_admissible(6, 1, 1)
+
+
+def test_decomposed_q_is_not_proven_again(monkeypatch):
+    # a p handed in with q's decomposition comes from a sieve or from
+    # prime_power_decompose: shape_realizable_over decides without is_prime
+    cases = [(16, GroupShape(5, 1), (2, 4)), (5, GroupShape(2, 1), (5, 1)),
+             (3, GroupShape(2, 1), (3, 1))]
+    want = [shape_realizable_over(q, s, _decomp=d) for q, s, d in cases]
+    assert [w.case for w in want] == [WaterhouseCase.FullSquareTrace,
+                                      WaterhouseCase.OrdinaryCoprime,
+                                      WaterhouseCase.ZeroTraceOdd]
+
+    def no_proof(x):
+        raise AssertionError(f"is_prime({x}) on a decomposed q")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(realizability, "is_prime", no_proof)
+        assert [shape_realizable_over(q, s, _decomp=d) for q, s, d in cases] == want
+    # the public guard still proves its p
     with pytest.raises(ValueError):
         trace_admissible(6, 1, 1)
 

@@ -289,6 +289,16 @@ def test_prime_power_only_frozen():
     assert set(sufficient) <= set(members)
 
 
+def test_prime_power_only_sufficient_is_literal():
+    # the paper's wording: exactly one of n -/+ 1 prime and the three
+    # quadratics n^2 + 1, n^2 +/- n + 1 all composite
+    _, sufficient = ss.balanced_prime_power_only(2000)
+    literal = [n for n in range(1, 2001)
+               if arith.is_prime(n - 1) != arith.is_prime(n + 1)
+               and not any(arith.is_prime(n * n + b * n + 1) for b in (-1, 0, 1))]
+    assert sufficient == literal
+
+
 def test_prime_power_only_matches_grid():
     from ecgroups import counting
     spi, spp = counting.membership_grid(60, 1)
