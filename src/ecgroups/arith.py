@@ -250,6 +250,19 @@ def iroot(x: int, r: int) -> int:
     return y
 
 
+def prime_power_table(primes, bound):
+    """(q, p, j) as int64 arrays sorted by q: every q = p^j <= bound with
+    j >= 3 and p from the ascending array primes, which reaches iroot(bound, 3)."""
+    p = primes[:np.searchsorted(primes, iroot(bound, 3), side="right")]
+    levels = [(p ** 3, p, np.full(p.size, 3))]
+    while (keep := levels[-1][0] <= bound // levels[-1][1]).any():
+        q, p, j = (x[keep] for x in levels[-1])
+        levels.append((q * p, p, j + 1))
+    q, p, j = map(np.concatenate, zip(*levels))
+    order = np.argsort(q)
+    return q[order], p[order], j[order]
+
+
 # (r, 67^r) for the prime root degrees r with 67^r < 2^63: once q has no prime
 # factor up to 61, a root of degree r >= 11 would be below 67
 _ROOT_BOUNDS = tuple((r, 67 ** r) for r in _SMALL_PRIMES if 67 ** r < LIMIT)
@@ -298,7 +311,7 @@ def _base_primes(limit: int) -> np.ndarray:
     for p in range(2, math.isqrt(limit) + 1):
         if mask[p]:
             mask[p * p :: p] = False
-    return np.flatnonzero(mask).astype(np.int64)
+    return mask.nonzero()[0].astype(np.int64)
 
 
 def primes_in_range(lo: int, hi: int) -> np.ndarray:
@@ -318,15 +331,14 @@ def primes_in_range(lo: int, hi: int) -> np.ndarray:
     while start <= hi:
         stop = min(start + DEFAULT_SEGMENT - 1, hi)
         mask = np.ones(stop - start + 1, dtype=bool)
-        for p in base:
-            p = int(p)
+        for p in base.tolist():
             if p * p > stop:
                 break
             first = max(p * p, ((start + p - 1) // p) * p)
             mask[first - start :: p] = False
         if start <= 1:
             mask[: 2 - start] = False
-        seg = np.flatnonzero(mask).astype(np.int64) + start
+        seg = mask.nonzero()[0].astype(np.int64) + start
         out.append(seg)
         start = stop + 1
     return np.concatenate(out) if out else np.empty(0, dtype=np.int64)

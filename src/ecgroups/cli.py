@@ -215,38 +215,34 @@ def _run_primes(args):
     return obj, [(p,) for p in ps], ("p",)
 
 
-# Peak bytes of a degree m >= 2 scan, per prime it lists and per n it holds,
-# measured on sets --m 2 and nm1 --m 2 from 3 10^6 to 3 10^7 rows: 46 a prime,
-# and an n 86-107 for JSON and 157 for CSV, of which the n set's hash table
-# takes 38-53 as it grows.
-_SCAN_PRIME_BYTES = 50
+# Peak bytes of a degree m >= 2 scan per prime and per entry as estimated
+# below, from 3 10^6 to 3 10^7 rows: 19-28 a prime (sets --m 2 --k 2), and an
+# entry 58-60 for JSON, 93-97 for CSV (sets, nm1 --m 2 --k 1), 38-46 for n2k.
+_SCAN_PRIME_BYTES = 30
 _SCAN_ENTRY_BYTES = {"json": 110, "csv": 180}
 
 
-def _require_scan_memory(args, root, k, scans=1):
-    """OverflowError up front when scans scans for cofactor k would not fit,
-    each listing the primes up to root and holding its n set.
+def _require_scan_memory(args, m, k):
+    """OverflowError up front when the degree-m scan for cofactor k would not
+    fit: the primes up to the m-th root of the largest candidate, and the n.
 
     A scan finds at most three n a prime, and at most tmax. For k = h^2 a
     degree-2 scan finds about two, n = (p -+ 1)/h. For any other k its n
     solve the Pell-type X^2 - 4k p^2 = l^2 - 4k, X = 2kn + l, and are few
-    (18 for k = 2 up to 3 10^7), so only the primes are counted; a scan of
-    degree 3 or more lists at most 1.6 10^5 primes, below the cube root of
-    2^63.
+    (18 for k = 2 up to 3 10^7), so only the primes are counted.
     """
     # pi(x) < 1.25506 x / ln x for x > 1 (Rosser and Schoenfeld 1962)
-    x = max(2, root)
+    x = max(2, arith.iroot(arith.candidate_bound(args.tmax, k), m))
     primes = 1.25506 * x / math.log(x)
     entries = min(args.tmax, 3 * primes) if math.isqrt(k) ** 2 == k else 0
     counting._require_memory(
-        int(scans * (_SCAN_PRIME_BYTES * primes + _SCAN_ENTRY_BYTES[args.format] * entries)),
+        int(_SCAN_PRIME_BYTES * primes + _SCAN_ENTRY_BYTES[args.format] * entries),
         "the n-set scan")
 
 
 def _run_sets(args):
     if args.m >= 2:
-        _require_scan_memory(args, arith.iroot(arith.candidate_bound(args.tmax, args.k), args.m),
-                             args.k)
+        _require_scan_memory(args, args.m, args.k)
     fn = special_sets.candidate_n_set if args.tilde else special_sets.realizable_n_set
     ns = fn(args.m, args.k, args.tmax)
     obj = {"m": args.m, "k": args.k, "tmax": args.tmax,
@@ -256,13 +252,9 @@ def _run_sets(args):
 
 def _run_n2k(args):
     cls = special_sets.degree_two_classify(args.k)
-    # the candidate and the realizable scan, one set held while the other runs
-    _require_scan_memory(args, math.isqrt(arith.candidate_bound(args.tmax, args.k)), args.k,
-                         scans=2)
+    _require_scan_memory(args, 2, args.k)
     pred = special_sets.degree_two_predicted_gap(args.k, args.tmax)
-    cand = set(special_sets.candidate_n_set(2, args.k, args.tmax))
-    real = set(special_sets.realizable_n_set(2, args.k, args.tmax))
-    gap = sorted(cand - real)
+    gap = special_sets.degree_two_gap(args.k, args.tmax)
     obj = {"k": args.k, "tmax": args.tmax, "tag": cls.tag.value,
            "p": cls.p, "sign": cls.sign, "h": cls.h,
            "predicted": pred, "gap": gap}
@@ -280,8 +272,8 @@ def _run_kk(args):
 
 
 def _run_nm1(args):
-    if args.m > 0 and args.m % 2 == 0 and args.tmax > 0:
-        _require_scan_memory(args, arith.iroot(args.tmax + 1, args.m // 2), 1)
+    if args.m >= 2:
+        _require_scan_memory(args, args.m, 1)
     ns = special_sets.balanced_n_set(args.m, args.tmax)
     obj = {"m": args.m, "tmax": args.tmax, "n_set": ns}
     return obj, [(n,) for n in ns], ("n",)

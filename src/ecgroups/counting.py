@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import arith
-from .realizability import GroupShape, shape_realizable_over
+from .realizability import GroupShape, hits_realizable
 
 CHECKPOINT_VERSION = 1
 
@@ -261,10 +261,7 @@ def _prime_power_marks(N, K):
     chunks of rows gathers each row's q: p^2 from the primes p = r mod n,
     r^2 = 1 mod n, over n - 1 <= p <= n sqrt(K) + 1, and p^j with j >= 3
     from one ascending table, its entries q = 1 mod n. One expansion then
-    takes every k of each. A trace prime to p is OrdinaryCoprime, which
-    holds unconditionally; for even j, a = +-2 p^(j/2) is FullSquareTrace
-    with k = ((p^(j/2) -+ 1)/n)^2 prime to p, which holds when k = 1 only.
-    The few other hits go through the full realizability predicate.
+    takes every k of each, and realizability.hits_realizable decides them.
     """
     vmax = arith.candidate_bound(N, K)
     L = math.isqrt(4 * K)
@@ -272,15 +269,8 @@ def _prime_power_marks(N, K):
     primes = arith.primes_in_range(2, root + 2)
     sieve = np.zeros(root + 3, dtype=bool)
     sieve[primes] = True
-    powers = []
-    for p in primes[:np.searchsorted(primes, arith.iroot(vmax, 3), side="right")].tolist():
-        q, j = p ** 3, 3
-        while q <= vmax:
-            powers.append((q, p, j, math.isqrt(4 * q)))
-            q *= p
-            j += 1
-    powers.sort()
-    tq, tp, tj, tw = np.array(powers, dtype=np.int64).reshape(-1, 4).T
+    tq, tp, tj = arith.prime_power_table(primes, vmax)
+    tw = np.array([math.isqrt(4 * q) for q in tq.tolist()], dtype=np.int64)
     count, roots = _unit_square_roots(N)
     ends = np.cumsum(count)
     marks = {}
@@ -314,20 +304,13 @@ def _prime_power_marks(N, K):
         nn = n * n
         k0 = np.maximum(1, (q - w + nn) // nn)
         idx, k = _expand(k0, np.maximum(np.minimum(K, (q + 1 + w) // nn) - k0 + 1, 0))
-        n, q, w, j, p = n[idx], q[idx], w[idx], j[idx], p[idx]
-        a = q + 1 - k * n * n
-        full = (j % 2 == 0) & (np.abs(a) == w)
-        sure = (a % p != 0) | (full & (k == 1))
-        # p^2 and p^j each come in ascending n: a stable sort makes each row's
-        # k one run
-        order = np.argsort(n[sure], kind="stable")
-        runs, start = np.unique(n[sure][order], return_index=True)
-        for n_, run in zip(runs.tolist(), np.split(k[sure][order], start[1:])):
+        real = hits_realizable(n[idx], k, q[idx], p[idx], j[idx])
+        n, k = n[idx][real], k[real]
+        # a sort by n makes each row's k one run
+        order = np.argsort(n, kind="stable")
+        runs, start = np.unique(n[order], return_index=True)
+        for n_, run in zip(runs.tolist(), np.split(k[order], start[1:])):
             marks.setdefault(n_, set()).update(run.tolist())
-        rest = ~sure & ~full
-        for n_, k_, q_, p_, j_ in zip(*(x[rest].tolist() for x in (n, k, q, p, j))):
-            if shape_realizable_over(q_, GroupShape(n_, k_), _decomp=(p_, j_)) is not None:
-                marks.setdefault(n_, set()).add(k_)
     return marks
 
 

@@ -19,6 +19,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .arith import _check_range, candidate_bound, is_prime, prime_power_decompose
 
 
@@ -160,6 +162,27 @@ def shape_realizable_over(q: int, shape: GroupShape,
     if case is WaterhouseCase.FullSquareTrace and not _k_is_power_of(k, p):
         return None  # the full-square case forces n1 = n2
     return Witness(shape=shape, q=q, p=p, m=m, ell=ell, trace=a, case=case)
+
+
+def hits_realizable(n, k, q, p, m) -> np.ndarray:
+    """shape_realizable_over in bulk over hits q = p^m = k n^2 + l n + 1,
+    l^2 <= 4k, p proven prime: True where Z_n x Z_kn occurs over F_q.
+
+    n, q and p are int64 arrays of one shape, k and m such arrays or ints.
+    By Rueck's rule a trace a = q + 1 - k n^2 prime to p is realized, and
+    |a| = 2 p^(m/2) at even m only with k = 1 (k n^2 = (p^(m/2) -+ 1)^2 is
+    prime to p); the rest go to the predicate. a is exact where k n^2
+    wraps: int64 is exact mod 2^64, and |a| <= 2 sqrt(q).
+    """
+    a = q + 1 - k * n * n
+    full = (m % 2 == 0) & (np.abs(a) == 2 * p ** (m // 2))
+    out = (a % p != 0) | (full & (k == 1))
+    rest = (~(out | full)).nonzero()[0]
+    if rest.size:
+        hits = zip(*(x[rest].tolist() if np.ndim(x) else [x] * rest.size for x in (n, k, q, p, m)))
+        for i, (n_, k_, q_, p_, m_) in zip(rest.tolist(), hits):
+            out[i] = shape_realizable_over(q_, GroupShape(n_, k_), _decomp=(p_, m_)) is not None
+    return out
 
 
 def smallest_prime_witness(shape: GroupShape) -> int | None:

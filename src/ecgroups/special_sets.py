@@ -6,19 +6,21 @@ and the realizable set keeps those passing the full realizability test.
 Degree 2 admits a complete classification of the gap between the two;
 degree >= 3 is finite per cofactor and searched within explicit bounds;
 every degree is hit for every n by an explicit polynomial identity.
-Hard-coded Diophantine fact tables used by the fast paths are re-derived
-by bounded scans.
+At degree m >= 2 one numpy walk finds the prime-power hits and
+realizability.hits_realizable decides them; bounded scans re-derive the
+Diophantine facts behind the paper's classification.
 """
 
 from __future__ import annotations
 
-import bisect
 import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import arith
-from .realizability import (GroupShape, shape_realizable_over, smallest_prime_power_witness,
+from .realizability import (GroupShape, hits_realizable, smallest_prime_power_witness,
                             smallest_prime_witness)
 
 DEFAULT_DEGREE_MAX = 40
@@ -75,52 +77,64 @@ class FixedDegreeWitness:
     ell: int
 
 
-def _prime_power_hits(m, k, primes):
-    """(n, p, ell) with p^m = k n^2 + ell n + 1, p in primes, ell^2 <= 4k.
+# q values a step of the walk takes; its temporaries hold about 200 bytes a value
+_HITS_CHUNK = 1 << 16
 
-    primes is ascending. Inverted by n: (q - 1)/k = n^2 + ell n / k and
-    |ell| <= 2 sqrt(k) give (n - 2)^2 <= (q - 1)/k < (n + 1)^2 for n >= 2,
-    so c <= n <= c + 2 for c = isqrt((q - 1) // k). Per p they come in
-    descending n, which is ascending ell.
+
+def _prime_power_hits(k, T, q):
+    """(i, n, ell) as int64 arrays: every q[i] = k n^2 + ell n + 1 with
+    ell^2 <= 4k and n <= T, for the int64 array q of values >= 2.
+
+    Inverted by n: (q - 1)/k = n^2 + ell n / k and |ell| <= 2 sqrt(k) give
+    (n - 2)^2 <= (q - 1)/k < (n + 1)^2 for n >= 2, so c <= n <= c + 2 for
+    c = isqrt((q - 1) // k). The rounded float root is c or c + 1, within
+    10^-6 of the true one below 2^63, so the four n from one below it (1 to
+    4 near 0) hold c, c + 1 and c + 2. Hits come in ascending i, then
+    descending n (ascending ell); k T < 2^63 keeps k n exact up to T.
     """
-    for p in primes:
-        q1 = p ** m - 1
-        c = math.isqrt(q1 // k)
-        for n in range(c + 2, max(c - 1, 0), -1):
-            if q1 % n == 0:
-                ell = q1 // n - k * n
-                if ell * ell <= 4 * k:
-                    yield n, p, ell
+    out = []
+    for lo in range(0, q.size + 1, _HITS_CHUNK):  # once at least, for an empty q
+        q1 = q[lo:lo + _HITS_CHUNK, None] - 1
+        n = np.maximum(np.rint(np.sqrt(q1 / k)).astype(np.int64), 2) + np.arange(2, -2, -1)
+        s, r = np.divmod(q1, n)
+        ell = s - k * n
+        i, j = ((r == 0) & (np.abs(ell) <= math.isqrt(4 * k)) & (n <= T)).nonzero()
+        out.append((i + lo, n[i, j], ell[i, j]))
+    return out[0] if len(out) == 1 else tuple(map(np.concatenate, zip(*out)))
 
 
-def _n_set(m, k, T, require_realizable):
+def _distinct(ns):
+    """The distinct entries of the int64 array ns, ascending. A sort and a
+    neighbour mask: np.unique took 40 times as long at 8 10^5 entries."""
+    ns = np.sort(ns)
+    return np.concatenate((ns[:1], ns[1:][ns[1:] != ns[:-1]]))
+
+
+def _n_set(m, k, T):
+    """(n, realized): the n of every degree-m hit, and which hits realize it."""
     if m < 1:
         raise ValueError("degree must be positive")
     vmax = arith.candidate_bound(T, k)
     if m == 1:
         # over F_p every prime candidate is a witness
-        return [n for n in range(1, T + 1) if smallest_prime_witness(GroupShape(n, k)) is not None]
-    # max(2, ...) may add p = 2 beyond the m-th root of vmax; its hits have n > T
-    primes = arith.primes_in_range(2, max(2, arith.iroot(vmax, m))).tolist()
-    out = set()
-    for n, p, _ in _prime_power_hits(m, k, primes):
-        if n > T:
-            continue
-        if require_realizable:
-            if shape_realizable_over(p ** m, GroupShape(n, k), _decomp=(p, m)) is None:
-                continue
-        out.add(n)
-    return sorted(out)
+        ns = np.array([n for n in range(1, T + 1) if smallest_prime_witness(GroupShape(n, k))])
+        return ns, np.ones(ns.size, dtype=bool)
+    # the primes in [1, r] are empty below r = 2
+    p = arith.primes_in_range(1, arith.iroot(vmax, m))
+    q = p ** m
+    i, n, _ = _prime_power_hits(k, T, q)
+    return n, hits_realizable(n, k, q[i], p[i], m)
 
 
 def candidate_n_set(m, k, T):
     """All n <= T with an exact degree-m prime-power candidate for (n, k)."""
-    return _n_set(m, k, T, False)
+    return _distinct(_n_set(m, k, T)[0]).tolist()
 
 
 def realizable_n_set(m, k, T):
     """All n <= T realized by some field of size p^m; subset of the candidates."""
-    return _n_set(m, k, T, True)
+    n, real = _n_set(m, k, T)
+    return _distinct(n[real]).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +186,12 @@ def degree_two_predicted_gap(k, T):
             if arith.is_prime(h * n - 1) or arith.is_prime(h * n + 1)]
 
 
+def degree_two_gap(k, T):
+    """The candidate-minus-realizable set at degree 2 up to T, from one walk."""
+    n, real = _n_set(2, k, T)
+    return np.setdiff1d(_distinct(n), _distinct(n[real]), assume_unique=True).tolist()
+
+
 # ---------------------------------------------------------------------------
 # degree >= 3: bounded exhaustive search
 # ---------------------------------------------------------------------------
@@ -189,16 +209,14 @@ def high_degree_search(k, m_max=DEFAULT_DEGREE_MAX, q_max=DEFAULT_Q_MAX):
     if q_max < 8:
         raise ValueError("q_max admits no cube")
     arith._check_range(q_max, "q_max")
-    # one sieve up to the cube root; degree m takes the prefix up to its m-th root
-    primes = arith.primes_in_range(2, arith.iroot(q_max, 3)).tolist()
-    found = []
-    for m in range(3, m_max + 1):
-        prefix = primes[:bisect.bisect_right(primes, arith.iroot(q_max, m))]
-        for n, p, ell in _prime_power_hits(m, k, prefix):
-            if shape_realizable_over(p ** m, GroupShape(n, k), _decomp=(p, m)) is not None:
-                found.append(HighDegreeWitness(n, p, m, ell))
-    found.sort(key=lambda e: (e.n, e.m, e.p, e.ell))
-    return found
+    arith._check_range(k, "k")
+    q, p, m = arith.prime_power_table(arith.primes_in_range(2, arith.iroot(q_max, 3)), q_max)
+    q, p, m = [x[m <= m_max] for x in (q, p, m)]
+    # a hit has (sqrt(k) n - 1)^2 <= q_max, so n stays below this T, and k T < 2^63
+    i, n, ell = _prime_power_hits(k, (math.isqrt(q_max) + 2) // math.isqrt(k), q)
+    real = hits_realizable(n, k, q[i], p[i], m[i])
+    found = sorted(zip(*(x[real].tolist() for x in (n, m[i], p[i], ell))))
+    return [HighDegreeWitness(n, p, m, ell) for n, m, p, ell in found]
 
 
 def high_degree_n_set(k, m_max=DEFAULT_DEGREE_MAX, q_max=DEFAULT_Q_MAX):
@@ -245,37 +263,18 @@ def fixed_degree_witness(n, m):
 def balanced_n_set(m, T):
     """All n <= T whose square group Z_n x Z_n is realized at degree m.
 
-    Fast paths: even m uses n = p^{m/2} +/- 1; degree 3 is the fixed pair
-    {18, 19}; odd degrees >= 5 are empty; degree 1 scans n^2+1 and
-    n^2 +/- n + 1 for primality. The prefix up to DEFAULT_VERIFY_LIMIT is
-    always re-derived from the definitional set and must agree.
+    For m >= 2 this is realizable_n_set(m, 1, T), which C05 and the tests hold
+    to the paper: n = p^(m/2) +/- 1 at even m, {18, 19} at m = 3, none at odd
+    m >= 5. Degree 1 scans n^2+1 and n^2 +/- n + 1 for primality; its prefix
+    up to DEFAULT_VERIFY_LIMIT must agree with the definitional set.
     """
-    if m < 1 or T < 1:
-        raise ValueError("degree and bound must be positive")
+    if m != 1:
+        return realizable_n_set(m, 1, T)
     arith.candidate_bound(T, 1)
-    if m == 1:
-        fast = [n for n in range(1, T + 1)
-                if arith.is_prime(n * n + 1)
-                or arith.is_prime(n * n + n + 1)
-                or arith.is_prime(n * n - n + 1)]
-    elif m == 3:
-        fast = [n for n in (18, 19) if n <= T]
-    elif m % 2 == 1:
-        fast = []
-    else:
-        r = m // 2
-        hits = set()
-        for p in arith.primes_in_range(2, max(2, arith.iroot(T + 1, r))).tolist():
-            x = p ** r
-            if x > T + 1:
-                continue
-            if 1 <= x - 1 <= T:
-                hits.add(x - 1)
-            if x + 1 <= T:
-                hits.add(x + 1)
-        fast = sorted(hits)
+    fast = [n for n in range(1, T + 1)
+            if any(arith.is_prime(n * n + b * n + 1) for b in _FORM_B.values())]
     lim = min(T, DEFAULT_VERIFY_LIMIT)
-    if [n for n in fast if n <= lim] != realizable_n_set(m, 1, lim):
+    if [n for n in fast if n <= lim] != realizable_n_set(1, 1, lim):
         raise RuntimeError("fast path disagrees with the definitional scan")
     return fast
 
@@ -331,20 +330,10 @@ def diophantine_solutions(form, m, x_max):
         return [(x, x * x + b * x + 1) for x in range(-x_max, x_max + 1)]
     out = []
     for y in range(1, arith.iroot(fmax, m) + 1):
-        t = y ** m
-        if b == 0:
-            r = math.isqrt(t - 1)
-            if r * r != t - 1:
-                continue
-            roots = {r, -r}
-        else:
-            disc = 4 * t - 3
-            r = math.isqrt(disc)
-            if r * r != disc:
-                continue
-            roots = {(-b + r) // 2, (-b - r) // 2}
-        for x in roots:
-            if abs(x) <= x_max:
-                out.append((x, y))
+        # x^2 + b x + 1 = y^m at x = (-b +- r) / 2, r^2 = b^2 - 4 + 4 y^m
+        disc = b * b - 4 + 4 * y ** m
+        r = math.isqrt(disc)
+        if r * r == disc:
+            out.extend((x, y) for x in {(-b + r) // 2, (-b - r) // 2} if abs(x) <= x_max)
     out.sort()
     return out

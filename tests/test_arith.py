@@ -263,6 +263,20 @@ def test_primes_in_range_segmented_matches_one_shot(monkeypatch):
     assert list(a) == b
 
 
+def test_prime_power_table_to_the_int64_edge():
+    # p^3, p^4, ... up to 2^63 - 1, where one more factor p would wrap
+    bound = arith.LIMIT - 1
+    primes = arith.primes_in_range(2, arith.iroot(bound, 3))
+    want = []
+    for p in primes.tolist():
+        q, j = p ** 3, 3
+        while q <= bound:
+            want.append((q, p, j))
+            q, j = q * p, j + 1
+    q, p, j = arith.prime_power_table(primes, bound)
+    assert list(zip(q.tolist(), p.tolist(), j.tolist())) == sorted(want)
+
+
 def test_primes_in_range_guards():
     with pytest.raises(ValueError):
         arith.primes_in_range(10, 5)

@@ -334,7 +334,7 @@ def test_npsum_respects_address_space_limit():
 
 
 def test_degree_two_scans_check_memory_before_sieving(monkeypatch, capsys):
-    # below a 1 MB budget the degree-2 scans of sets, nm1 and n2k exit 3
+    # below a 100 kB budget the degree-2 scans of sets, nm1 and n2k exit 3
     # before listing a prime; the same requests run at the real budget
     def no_sieve(*args, **kwargs):
         raise AssertionError("listed primes before the memory check")
@@ -344,7 +344,7 @@ def test_degree_two_scans_check_memory_before_sieving(monkeypatch, capsys):
                 ["nm1", "--m", "2", "--tmax", "100000", "--format", "csv"],
                 ["n2k", "--k", "3", "--tmax", "100000"])
     monkeypatch.setattr(arith, "primes_in_range", no_sieve)
-    monkeypatch.setattr(counting, "_memory_budget", lambda: 10 ** 6)
+    monkeypatch.setattr(counting, "_memory_budget", lambda: 10 ** 5)
     for argv in requests:
         assert cli.main(argv) == 3, argv
         captured = capsys.readouterr()

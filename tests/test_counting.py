@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecgroups import arith, counting
+from ecgroups import arith, counting, realizability, special_sets
 from ecgroups.counting import (
     CountGrid,
     SeriesPoint,
@@ -511,23 +511,31 @@ def test_prime_power_marks_match_dense():
 
 
 def test_prime_power_marks_call_predicate_only_when_undecided(monkeypatch):
-    # a trace a prime to p is OrdinaryCoprime and a = +-2 sqrt(q) is
-    # FullSquareTrace, both decided in the bulk pass; only the rest, with
-    # p | a and a^2 != 4q, may reach the per-shape predicate
-    for N, K in ((60, 40), (1500, 1500)):
-        calls = []
+    # realizability.hits_realizable decides a trace a prime to p
+    # (OrdinaryCoprime) and a = +-2 p^(j/2) (FullSquareTrace) in bulk for
+    # each of its callers: the marks, the n sets and the high-degree search.
+    # Only the rest, with p | a and a^2 != 4q, may reach the per-shape
+    # predicate
+    calls = []
 
-        def record(q, shape, _decomp=None):
-            calls.append((q, shape, _decomp))
-            return shape_realizable_over(q, shape, _decomp=_decomp)
+    def record(q, shape, _decomp=None):
+        calls.append((q, shape, _decomp))
+        return shape_realizable_over(q, shape, _decomp=_decomp)
 
-        monkeypatch.setattr(counting, "shape_realizable_over", record)
-        counting._prime_power_marks(N, K)
-        assert calls, (N, K)
+    monkeypatch.setattr(realizability, "shape_realizable_over", record)
+    runs = [functools.partial(counting._prime_power_marks, N, K)
+            for N, K in ((60, 40), (1500, 1500))]
+    runs += [functools.partial(special_sets.realizable_n_set, m, k, 300)
+             for m, k in ((2, 7), (3, 7), (4, 19))]
+    runs += [functools.partial(special_sets.high_degree_search, k) for k in (7, 11)]
+    for run in runs:
+        calls.clear()
+        run()
+        assert calls, run
         for q, shape, (p, j) in calls:
             assert p ** j == q
             a = q + 1 - shape.k * shape.n ** 2
-            assert a % p == 0 and a * a != 4 * q, (N, K, q, shape)
+            assert a % p == 0 and a * a != 4 * q, (run, q, shape)
 
 
 def test_unit_square_roots_match_brute_force():

@@ -139,9 +139,21 @@ def test_prime_power_hits_match_ell_scan():
     # the frozen tables stop at k = 5; this covers every cofactor up to 40
     for k in range(1, 41):
         for m in range(2, 12):
-            primes = arith.primes_in_range(2, arith.iroot(10 ** 10, m)).tolist()
-            got = list(ss._prime_power_hits(m, k, primes))
+            primes = arith.primes_in_range(2, arith.iroot(10 ** 10, m))
+            i, n, ell = ss._prime_power_hits(k, 10 ** 10, primes ** m)
+            got = list(zip(n.tolist(), primes[i].tolist(), ell.tolist()))
             assert got == _reference_hits(m, k, 10 ** 10), (m, k)
+
+
+def test_high_degree_search_at_the_int64_edge():
+    # q up to 2^63 - 1, where k n^2 of a candidate n passes 2^63
+    for k in (2, 3, 7):
+        want = sorted((n, m, p, ell) for m in (3, 4)
+                      for n, p, ell in _reference_hits(m, k, arith.LIMIT - 1)
+                      if shape_realizable_over(p ** m, GroupShape(n, k)) is not None)
+        found = ss.high_degree_search(k, m_max=4, q_max=arith.LIMIT - 1)
+        assert [(e.n, e.m, e.p, e.ell) for e in found] == want, k
+        assert all(type(x) is int for e in found for x in (e.n, e.p, e.m, e.ell))
 
 
 def test_high_degree_search_sieves_once(monkeypatch):
@@ -273,6 +285,12 @@ def test_balanced_even_degree_count():
     twin = sum(1 for p in ps if p <= T - 1 and arith.is_prime(p + 2))
     small = sum(1 for p in ps if p <= T - 1)
     assert len(ss.balanced_n_set(2, T)) == small + len(ps) - twin
+    # n = p^2 -+ 1 at degree 4 up to 3 10^9, where q = p^4 nears 2^63 and the
+    # float of (q - 1) / k = p^4 - 1 rounds up to the square p^4
+    T = 3 * 10 ** 9
+    ps = arith.primes_in_range(2, arith.iroot(T + 1, 2)).tolist()
+    assert ss.balanced_n_set(4, T) == sorted({p * p + d for p in ps for d in (-1, 1)
+                                              if p * p + d <= T})
 
 
 def test_balanced_matches_definition():
@@ -376,10 +394,13 @@ def test_bad_arguments():
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(1, 4), st.integers(1, 10), st.integers(1, 40))
+@given(st.integers(1, 6), st.integers(1, 10), st.integers(1, 40))
 def test_sets_random(m, k, T):
     cand = ss.candidate_n_set(m, k, T)
     real = ss.realizable_n_set(m, k, T)
+    assert cand == _reference_n_set(m, k, T, False)
+    assert real == _reference_n_set(m, k, T, True)
+    assert all(type(n) is int for n in cand + real)
     assert set(real) <= set(cand)
     assert cand == sorted(set(cand))
     w = math.isqrt(4 * k)
