@@ -7,11 +7,11 @@ The tiers (_MR_TIERS) pair base sets with the least strong pseudoprime to
 all of them: the first 1, 2, 5, 6 or 7 prime bases (OEIS A014233), and
 (2, 7, 61) and (2, 13, 23, 1662803) (Jaeschke, Math. Comp. 61, 1993).  `is_prime_batch`
 runs the same tiers over a numpy int64 array in two stages, a base-2
-probable-prime stage and a certify stage, so that a caller that needs only
-some of the probable primes proven can certify just those; values at or
-above BATCH_BOUND = 341,550,071,728,321 take the scalar test.  Scalar values
-are plain Python ints (exact); range limits are enforced explicitly so
-callers get an OverflowError instead of silently huge computations.
+probable-prime stage and a certify stage of each value's other bases;
+values at or above BATCH_BOUND = 341,550,071,728,321 take the scalar
+test.  Scalar values are plain Python ints (exact); range limits are
+enforced explicitly so callers get an OverflowError instead of silently
+huge computations.
 """
 
 from __future__ import annotations
@@ -91,22 +91,41 @@ _ODD_DIVISIBILITY = tuple((np.uint64(pow(p, -1, 1 << 64)), np.uint64(((1 << 64) 
                           for p in _SMALL_PRIMES[1:])
 
 
-def _sqmod(y, m, c=None):
-    """y^2 c mod m elementwise (c = 1 when None), for 0 <= y < m and c >= 1.
+def _sqmod(y, m, c=None, out=None, work=None, lazy=False):
+    """y^2 c mod m elementwise (c = 1 when None), for c >= 1, written to out
+    (which may be y) or to a new array.
 
-    For uint64 arrays (m < 2^32) y^2 is exact, and so is (y^2 mod m) c while
-    c < 2^32.  For int64 arrays (m < 2^50) the float64 quotient q of y^2 by m
-    is off by at most one, so y^2 - q m, taken from the wrapped low 64 bits,
-    lies in (-m, 2m) and is exact; times c it is exact while
+    For uint64 arrays (m < 2^32, 0 <= y < m) y^2 is exact, and so is
+    (y^2 mod m) c while c < 2^32.  For int64 arrays (m < 2^50, -m < y < 2m)
+    the float64 quotient of y^2 < 4 m^2 by m is within m 2^-50 < 1 of the
+    true one, so with q its integer part y^2 - q m, taken from the wrapped
+    low 64 bits, lies in (-m, 2m) and is exact; lazy, for c None, returns
+    it as it is, ready for the next squaring.  Times c it is exact while
     |y^2 - q m| c < 2^63, which 2 m c <= 2^63 ensures, and one floor
-    remainder brings it into [0, m).
+    remainder brings it into [0, m).  work, for the int64 path, holds m as
+    float64 and a float64 and an int64 buffer of y's size.
     """
+    if out is None:
+        out = np.empty_like(y)
     if y.dtype == np.uint64:
-        r = y * y % m
-        return r if c is None else r * c % m
-    q = (y.astype(np.float64) * y / m).astype(np.int64)
-    r = y * y - q * m
-    return np.remainder(r if c is None else r * c, m)
+        np.multiply(y, y, out=out)
+        out %= m
+        if c is not None:
+            out *= c
+            out %= m
+        return out
+    mf, f, q = work or (m.astype(np.float64), np.empty(y.shape), np.empty_like(y))
+    np.multiply(y, y, out=f, dtype=np.float64)
+    f /= mf
+    np.copyto(q, f, casting="unsafe")
+    q *= m
+    np.multiply(y, y, out=out)
+    out -= q
+    if c is not None:
+        out *= c
+    if not lazy:
+        np.remainder(out, m, out=out)
+    return out
 
 
 def _sprp(v, a):
@@ -115,36 +134,56 @@ def _sprp(v, a):
     a^d mod v (v - 1 = d 2^s, d odd) goes by windows of w bits of d: w - 1
     plain squarings, then one whose factor c = a^digit folds the window in,
     with w as wide as _sqmod's bound on c allows.  The squarings run in
-    uint64 when every v is below 2^32.
+    place, in uint64 when every v is below 2^32, and the window digits go
+    through one buffer; on the int64 path the plain squarings are lazy and
+    each one with c reduces.  The last s - 1 squarings run over the values
+    not yet decided, fewer each time.
     """
     vmax = int(v.max())
+    d = v - 1
+    # s from the float64 exponent of the lowest set bit of d
+    s = (d & -d).astype(np.float64).view(np.int64)
+    s >>= 52
+    s -= 1023
+    d >>= s
     if vmax < 1 << 32:
-        m, cap = v.astype(np.uint64), 1 << 32
+        m, cap, mf = v.view(np.uint64), 1 << 32, None
     else:
-        m, cap = v, (1 << 62) // vmax
-    d = m - 1
-    low = d & (~d + 1)
-    s = np.log2(low).astype(np.int64)
-    d >>= s.astype(d.dtype)
+        m, cap, mf = v, (1 << 62) // vmax, v.astype(np.float64)
+        f, q = np.empty(v.shape), np.empty_like(v)
+
+    def square(y, m, mf, c=None, lazy=False):
+        work = None if mf is None else (mf, f[:y.size], q[:y.size])
+        _sqmod(y, m, c, y, work, lazy)
+
     w = 1
     while a ** ((2 << w) - 1) < cap:
         w += 1
     digits = np.array([a ** e for e in range(1 << w)], dtype=m.dtype)
     top = -(-int(d.max()).bit_length() // w) * w - w
-    y = digits[d >> top] % m
-    mask = (1 << w) - 1
+    digit = d >> top
+    y = digits[digit] % m
+    c = np.empty_like(m)
     for shift in range(top - w, -1, -w):
         for _ in range(w - 1):
-            y = _sqmod(y, m)
-        y = _sqmod(y, m, digits[(d >> shift) & mask])
-    minus = m - 1
-    ok = (y == 1) | (y == minus)
-    for i in range(1, int(s.max())):
-        live = np.flatnonzero(~ok & (s > i))
-        if live.size == 0:
-            break
-        y[live] = _sqmod(y[live], m[live])
-        ok[live] = y[live] == minus[live]
+            square(y, m, mf, lazy=True)
+        np.right_shift(d, shift, out=digit)
+        digit &= (1 << w) - 1
+        np.take(digits, digit, out=c)
+        square(y, m, mf, c)
+    ok = (y == 1) | (y == m - 1)
+    # the last s - 1 squarings over the values still undecided, sorted by
+    # descending s (a radix sort on int8), so that the ones with s > i take
+    # an i-th squaring as a prefix of more[i] values. One that meets -1
+    # squares on at 1, which never meets it again
+    live = np.flatnonzero(~ok & (s > 1))
+    live = live[np.argsort(-s[live].astype(np.int8), kind="stable")]
+    y, m, minus = y[live], m[live], m[live] - 1
+    mf = None if mf is None else mf[live]
+    more = np.bincount(s[live], minlength=2)[:0:-1].cumsum()[::-1]
+    for k in more[1:].tolist():
+        square(y[:k], m[:k], None if mf is None else mf[:k])
+        ok[live[np.flatnonzero(y[:k] == minus[:k])]] = True
     return ok
 
 

@@ -157,11 +157,10 @@ def _run_check(args):
 
 def _run_missed(args):
     grid = counting.survey(args.nmax, args.kmax, workers=args.workers)
-    pairs = [(s.n, s.k) for s in grid.missed]
     obj = {"nmax": args.nmax, "kmax": args.kmax,
            "count_s_pi": grid.count_S_pi, "count_s_Pi": grid.count_S_Pi,
-           "missed": [list(p) for p in pairs]}
-    return obj, pairs, ("n", "k")
+           "missed": [[s.n, s.k] for s in grid.missed]}
+    return obj, ((s.n, s.k) for s in grid.missed), ("n", "k")
 
 
 def _run_fcurve(args):
@@ -216,10 +215,12 @@ def _run_primes(args):
 
 
 # Peak bytes of a degree m >= 2 scan per prime and per entry as estimated
-# below, from 3 10^6 to 3 10^7 rows: 19-28 a prime (sets --m 2 --k 2), and an
-# entry 58-60 for JSON, 93-97 for CSV (sets, nm1 --m 2 --k 1), 38-46 for n2k.
+# below, from 3 10^6 to 3 10^7 rows: 19-28 a prime (sets --m 2 --k 2). An
+# entry, as the peak over that of sets --m 2 --k 2 at the same rows, takes
+# 50-62 for JSON and 79-124 for CSV (sets, nm1 --m 2 --k 1) and 34-60 for
+# n2k --k 1, rising with the rows; CSV rows are built only for CSV.
 _SCAN_PRIME_BYTES = 30
-_SCAN_ENTRY_BYTES = {"json": 110, "csv": 180}
+_SCAN_ENTRY_BYTES = {"json": 80, "csv": 180}
 
 
 def _require_scan_memory(args, m, k):
@@ -247,7 +248,7 @@ def _run_sets(args):
     ns = fn(args.m, args.k, args.tmax)
     obj = {"m": args.m, "k": args.k, "tmax": args.tmax,
            "tilde": bool(args.tilde), "n_set": ns}
-    return obj, [(n,) for n in ns], ("n",)
+    return obj, ((n,) for n in ns), ("n",)
 
 
 def _run_n2k(args):
@@ -258,7 +259,7 @@ def _run_n2k(args):
     obj = {"k": args.k, "tmax": args.tmax, "tag": cls.tag.value,
            "p": cls.p, "sign": cls.sign, "h": cls.h,
            "predicted": pred, "gap": gap}
-    return obj, [(n,) for n in gap], ("n",)
+    return obj, ((n,) for n in gap), ("n",)
 
 
 def _run_kk(args):
@@ -276,7 +277,7 @@ def _run_nm1(args):
         _require_scan_memory(args, args.m, 1)
     ns = special_sets.balanced_n_set(args.m, args.tmax)
     obj = {"m": args.m, "tmax": args.tmax, "n_set": ns}
-    return obj, [(n,) for n in ns], ("n",)
+    return obj, ((n,) for n in ns), ("n",)
 
 
 def _run_adam(args):

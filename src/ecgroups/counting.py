@@ -8,9 +8,11 @@ two must agree exactly.
 
 The bulk path decides rows n with one cell kernel: cell (n, k) is in the
 prime-witness set when its window v = k n^2 + l n + 1, l^2 <= 4k, holds a
-prime. Each undecided cell screens its next few offsets l with the
-batched base-2 probable-prime test, certifies only its first survivor and
-drops out at its first prime. The kernel keeps one pool of live cells,
+prime. Each cell walks its window in blocks of 64 offsets l, each with a
+64-bit mask of the offsets whose value has a factor up to 61, built once a
+block from small tables; each round tests every live cell's next offset
+that its mask leaves with one batched primality test, and a cell drops
+out at its first prime. The kernel keeps one pool of live cells,
 admits whole rows as cells finish and hands on each prefix of rows once
 it is done. Prime-power witnesses (q = p^j, j >= 2) are sparse and come
 from one numpy pass over chunks of rows: q = p^2 from the primes p with
@@ -92,27 +94,128 @@ def _sieve_row(ctx, n):
     return _row_kernel(ctx, [n])[0]
 
 
-# A round screens _KERNEL_STEP offsets of every live cell. With the pool full
-# at every round, a narrower round tests fewer values past a cell's first
-# prime: f_series(1500) screened 27.1M values in 286 rounds at step 4, 29.7M
-# in 214 at 6 and 32.6M in 143 at 8, and step 4 ran fastest of the three in
-# alternating passes (step 3, 25.8M in 388 rounds, timed the same as 4).
-_KERNEL_STEP = 4
+# The sieve masks: bit i of a cell's mask stands for offset b + i of its
+# current block of 64 offsets, and is set once that offset is sieved out,
+# tested or past the window
+_ALL = np.uint64((1 << 64) - 1)
+# _PAST[t]: the bits past t, for a window ending at bit t of the block
+_PAST = np.array([_ALL << np.uint64(t + 1) for t in range(63)] + [0], dtype=np.uint64)
+
+
+@functools.cache
+def _sieve_tables():
+    """((r, table), ...) for each r in arith._SMALL_PRIMES: table[a r + c],
+    a = n mod r and c = (k n + b) mod r, holds the bits i < 64 with
+    r | n (k n + b + i) + 1. For r not dividing n that is i = -(n^-1 + c)
+    mod r; for r | n the value is 1 mod r, and the row is 0."""
+    bits = np.uint64(1) << np.arange(64, dtype=np.uint64)
+    out = []
+    for r in arith._SMALL_PRIMES:
+        pattern = np.zeros(r, dtype=np.uint64)
+        np.bitwise_or.at(pattern, np.arange(64) % r, bits)
+        inv = np.array([pow(a, -1, r) for a in range(1, r)])
+        table = np.zeros((r, r), dtype=np.uint64)
+        table[1:] = pattern[(-inv[:, None] - np.arange(r)) % r]
+        out.append((r, table.reshape(-1)))
+    return tuple(out)
+
+
+def _sieve_masks(n, c, top):
+    """The masks of blocks whose first offset b has c = k n + b and whose
+    window ends at bit top: a bit for each offset whose value has a factor
+    in arith._SMALL_PRIMES, and the bits past top. A block whose least value
+    n c + 1 is at most 61, where a small prime can be the value itself, is
+    not sieved."""
+    mask = np.zeros(c.shape, dtype=np.uint64)
+    idx = np.empty(c.shape, dtype=np.int64)
+    bits = np.empty(c.shape, dtype=np.uint64)
+    for r, table in _sieve_tables():
+        # c mod r as c - r (c // r): numpy divides by a scalar several times
+        # faster than it takes the remainder
+        np.floor_divide(c, r, out=idx)
+        idx *= -r
+        idx += c
+        idx += n % r * r
+        mask |= np.take(table, idx, out=bits)
+    mask[n * c + 1 <= arith._SMALL_PRIMES[-1]] = 0
+    mask |= _PAST[np.minimum(top, 63)]
+    return mask
+
+
+def _advance(n, c, top, mask, idx):
+    """Move the cells idx, their blocks used up, on to their next block
+    with an offset left, or past their window (top < 0)."""
+    while idx.size:
+        c[idx] += 64
+        top[idx] -= 64
+        idx = idx[top[idx] >= 0]
+        mask[idx] = _sieve_masks(n[idx], c[idx], top[idx])
+        idx = idx[mask[idx] == _ALL]
+
 
 # The kernel keeps about _BLOCK_CELLS cells live: enough to amortize a
-# round's numpy calls, few enough that a round's arrays stay near 1 MB. At
-# D = 1500 rounds of 16k cells or more cost 0.7 us a cell, while a kernel
-# that drained each block of rows spent 0.95 s on its 819 rounds of under
-# 1,000 cells (116k cell-rounds).
+# round's numpy calls, few enough that a round's arrays stay near 1 MB. On
+# fcurve --dmax 1500 (234 rounds at 2^15), pools of 2^14, 2^15 and 2^16
+# cells ran 4.96-5.27, 4.01-4.57 and 4.31-4.40 s, with peaks of 38.1, 42.5
+# and 49.0 MB.
 _BLOCK_CELLS = 1 << 15
 
 # A pool task runs the kernel over up to _TASK_POOLS pool-fulls of rows, so
-# that its drain to a tail of slow cells, which is twice as many rounds at
-# step 4 as at 8, is paid once per several pool-fulls. On the D = 37550
-# context, where a pool-full is one row, tasks of one row cost 0.31 s and
-# 0.47 s a row at n = 8000 and 37550 against 0.24 s and 0.35 s at step 8;
-# tasks of six rows cost 0.23 s and 0.28 s.
+# that its drain to a tail of slow cells, one offset a round, is paid once
+# per several pool-fulls. On the D = 37550 context, where a pool-full is
+# one row, tasks of one row cost 0.42 s and 0.55 s a row at n = 8000 and
+# 37543, tasks of four rows 0.25 s and 0.34 s and tasks of eight rows
+# 0.23 s and 0.31 s, all in one sitting.
 _TASK_POOLS = 8
+
+
+def _admit(ctx, live, new, drawn):
+    """The pool's columns live followed by the cells of the rows new, the
+    first of which is row drawn of the rows drawn so far. Each new cell
+    starts at its window's first block, its mask built with each n mod r
+    taken once a row, and moves on past blocks sieved out entirely; a cell
+    whose whole window is sieved out is left out."""
+    K = ctx.K
+    ks = np.arange(1, K + 1, dtype=np.int64)
+    old = live.shape[1]
+    grown = np.empty((5, old + new.size * K), dtype=np.int64)
+    grown[:, :old] = live
+    n, c, top, cell, mask = (col.reshape(new.size, K) for col in grown[:, old:])
+    n[:] = new[:, None]
+    np.multiply(new[:, None], ks, out=c)
+    c -= ctx.W
+    np.multiply(ctx.W, 2, out=top)
+    np.add(np.arange(drawn, drawn + new.size)[:, None] * (K + 1), ks, out=cell)
+    mask[:] = _sieve_masks(new[:, None], c, top).view(np.int64)
+    n, c, top, cell, mask = grown
+    _advance(n, c, top, mask.view(np.uint64), old + np.flatnonzero(mask[old:] == -1))
+    if (top[old:] < 0).any():
+        return grown.take(np.flatnonzero(top >= 0), axis=1)
+    return grown
+
+
+def _round(live):
+    """(live, found): one round over the pool's columns live. Every cell
+    tests the lowest offset its mask leaves, all in one is_prime_batch, and
+    a cell whose block is then used up moves on. Returns the cells still
+    live and, for each cell found prime, its index into the drawn rows laid
+    end to end."""
+    n, c, top, cell, mask = live
+    mask = mask.view(np.uint64)
+    low = mask + np.uint64(1)
+    low &= ~mask
+    # the offset's bit from the exponent of its float64 value, then the value
+    v = low.view(np.int64).astype(np.float64).view(np.int64)
+    v >>= 52
+    v &= 0x7FF
+    v -= 1023
+    v += c
+    v *= n
+    v += 1
+    prime = arith.is_prime_batch(v)
+    mask |= low
+    _advance(n, c, top, mask, np.flatnonzero(mask == _ALL))
+    return live.take(np.flatnonzero(~prime & (top >= 0)), axis=1), cell[prime]
 
 
 def _kernel_rows(ctx, ns):
@@ -122,20 +225,21 @@ def _kernel_rows(ctx, ns):
 
     One pool of live cells: when it holds _BLOCK_CELLS // 2 cells or fewer,
     the next whole rows of ns come in, at least one, up to _BLOCK_CELLS
-    cells. Each round every live cell (n, k) screens its next _KERNEL_STEP
-    offsets l of the window l^2 <= 4k with one batched probable-prime test,
-    certifies its survivors in ascending l until one is prime, and drops out
-    at that prime or once its window is used up. Each prefix of rows whose
-    cells are all done is yielded as soon as it is. Only the live cells and
-    the rows drawn from ns but not yet yielded are held.
+    cells. A cell (n, k) walks its window l^2 <= 4k in blocks of 64 offsets
+    l, each with a mask of the offsets whose value v = n (k n + l) + 1 has a
+    factor in arith._SMALL_PRIMES. Each round tests every live cell's next
+    offset that its mask leaves, in ascending l, with one is_prime_batch;
+    a cell whose block is used up moves on to its next 64 offsets, and it
+    drops out at its first prime or once its window is used up. Each prefix
+    of rows whose cells are all done is yielded as soon as it is. Only the
+    live cells and the rows drawn from ns but not yet yielded are held.
     """
     K = ctx.K
     width = K + 1
     ns = iter(ns)
-    ks = np.arange(1, width, dtype=np.int64)
-    step = np.arange(_KERNEL_STEP, dtype=np.int64)
-    # one column per live cell: n, k n, w_k, its next offset l, and its index
-    # into the drawn rows laid end to end; admitted in order, so ascending
+    # one column per live cell: n, c = k n + b for its block's first offset
+    # b, the window's last bit top = w_k - b, its index into the drawn rows
+    # laid end to end and its mask; admitted in order, so ascending index
     live = np.zeros((5, 0), dtype=np.int64)
     rows = np.zeros((0, width), dtype=bool)     # drawn and not yet yielded
     first = 0
@@ -145,42 +249,19 @@ def _kernel_rows(ctx, ns):
             want = max(1, (_BLOCK_CELLS - live.shape[1]) // K)
             new = np.fromiter(itertools.islice(ns, want), np.int64)
             more = new.size == want
-            drawn = first + len(rows)
-            n = np.repeat(new, K)
-            w = np.tile(ctx.W, new.size)
-            cell = np.arange(drawn, drawn + new.size)[:, None] * width + ks
-            live = np.concatenate(
-                [live, np.stack([n, np.tile(ks, new.size) * n, w, -w, cell.reshape(-1)])], axis=1)
+            live = _admit(ctx, live, new, first + len(rows))
             rows = np.concatenate([rows, np.zeros((new.size, width), dtype=bool)])
-        if not live.shape[1]:
-            return
-        n, kn, w, ell, cell = live
-        v = ell[:, None] + step
-        past = v > w[:, None]
-        v += kn[:, None]
-        v *= n[:, None]
-        v += 1
-        v[past] = 0
-        maybe = arith.probable_prime_batch(v)
-        # certify each cell's first survivor only: every offset before it is
-        # composite, and a base-2 strong pseudoprime hands on to the next
-        found = np.zeros(v.shape[0], dtype=bool)
-        cells = np.flatnonzero(maybe.any(axis=1))
-        while cells.size:
-            col = maybe[cells].argmax(axis=1)
-            prime = arith.certify_batch(v[cells, col])
-            found[cells[prime]] = True
-            cells, col = cells[~prime], col[~prime]
-            maybe[cells, col] = False
-            cells = cells[maybe[cells].any(axis=1)]
-        rows.reshape(-1)[cell[found] - first * width] = True
-        ell += _KERNEL_STEP
-        live = live[:, ~found & (ell <= w)]
-        done = int(live[4, 0] // width if live.shape[1] else first + len(rows)) - first
+        # admission may leave no cell live: every window sieved out
+        if live.shape[1]:
+            live, found = _round(live)
+            rows.reshape(-1)[found - first * width] = True
+        done = int(live[3, 0] // width if live.shape[1] else first + len(rows)) - first
         if done:
             yield first, rows[:done]
             first += done
             rows = rows[done:]
+        if not (more or live.shape[1]):
+            return
 
 
 def _row_kernel(ctx, ns):

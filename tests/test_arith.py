@@ -103,6 +103,42 @@ def test_sqmod_at_the_extremes_of_its_bound():
         assert arith._sqmod(y, mm).tolist() == [x * x % m for x in ys], m
 
 
+def test_sprp_matches_the_scalar_strong_test():
+    # both dtype paths against strong_probable_prime: seeded values below
+    # 2^32 (uint64 squarings) and up to BATCH_BOUND (int64), values
+    # v = d 2^s + 1 with s up to 40, and the base-2 strong pseudoprimes; each
+    # base runs on the values below the bound of its tier
+    rng = random.Random(22)
+    vals = [rng.randrange(lo, hi) | 1 for lo, hi in
+            [(67, 10 ** 4), (10 ** 6, 2 ** 32), (2 ** 32, 2 ** 40), (2 ** 40, arith.BATCH_BOUND)]
+            for _ in range(500)]
+    vals += [(2 * rng.randrange(1, 2 ** 8) + 1) * 2 ** s + 1 for s in range(1, 41) for _ in range(10)]
+    vals += [2047, 3277, 4033, 4681, 8321, 15841, 29341, 42799, 49141, 52633, 65281,
+             74665, 80581, 85489, 88357, 90751, *A014233, *JAESCHKE]
+    for bound, bases in arith._MR_TIERS[:-1]:
+        for top in (min(bound, 2 ** 32), bound):
+            for a in bases:
+                group = [v for v in vals if a < v < top]
+                got = arith._sprp(np.array(group, dtype=np.int64), a)
+                assert got.tolist() == [strong_probable_prime(v, a) for v in group], (top, a)
+
+
+def test_sqmod_lazy_stays_in_range():
+    # int64 path: lazy squarings from anywhere in (-m, 2m), chained, stay in
+    # (-m, 2m) and congruent to the exact squares, up to m just below
+    # BATCH_BOUND; the reducing squaring then lands in [0, m)
+    for m in (2 ** 32 + 15, 1122004669633 - 2, arith.BATCH_BOUND - 2):
+        ys = [-m + 1, -m // 2, -1, 0, 1, m - 1, m, m + 1, 2 * m - 2, 2 * m - 1]
+        y = np.array(ys, dtype=np.int64)
+        mm = np.full(y.size, m, dtype=np.int64)
+        for _ in range(60):
+            want = [x * x % m for x in ys]
+            got = arith._sqmod(y, mm, lazy=True)
+            assert all(-m < g < 2 * m and g % m == x for g, x in zip(got.tolist(), want)), m
+            assert arith._sqmod(y, mm).tolist() == want, m
+            y, ys = got, got.tolist()
+
+
 def test_is_prime_range_guard():
     with pytest.raises(OverflowError):
         arith.is_prime(2 ** 63 + 1)

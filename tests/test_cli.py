@@ -97,6 +97,25 @@ def test_make_figures_script(tmp_path, capsys):
     assert (tmp_path / "f_curve.csv").read_text() == out
 
 
+def test_make_tables_script(tmp_path):
+    # every table the script lists is written, each with its header line
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, str(root / "scripts" / "make_tables.py"),
+                           "--outdir", str(tmp_path), "--nmax", "10", "--kmax", "10"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    headers = {"missed_10x10": "n,k", "prime_power_only": "n,sufficient",
+               **{"high_degree_k%d" % k: "n,p,m,ell" for k in (2, 3, 4, 5)},
+               **{"balanced_m%d" % m: "n" for m in (1, 2, 3, 4)},
+               **{"dioph_%s_cubes" % t: "x,y" for t in ("x2p1", "x2pxp1", "x2mxp1")}}
+    written = [line.split(" ", 1)[1] for line in proc.stdout.splitlines()]
+    assert sorted(written) == sorted(str(tmp_path / (name + ".csv")) for name in headers)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(name + ".csv" for name in headers)
+    for name, header in headers.items():
+        assert (tmp_path / (name + ".csv")).read_text().split("\n")[0] == header, name
+
+
 def test_fcurve_resume(tmp_path, capsys):
     ck = str(tmp_path / "ck.json")
     code, first = run(capsys, "fcurve", "--dmax", "30", "--step", "5",

@@ -376,12 +376,36 @@ def test_kernel_matches_per_shape_predicate():
         assert not got[:, 0].any()
 
 
+def test_sieve_masks_match_trial_division():
+    # each mask bit against the value at its offset: set where the value
+    # exceeds 61 and has a factor up to 61, or where the offset is past the
+    # window; a block whose least value is at most 61 is not sieved: cells
+    # (1, 77), (2, 19) and (5, 3) start at 61 itself. Every block starts
+    # inside its window
+    rng = random.Random(11)
+    n = np.array([1, 2, 3, 5, 6, 30030, 61 * 59, 2 ** 20, 1, 2, 5,
+                  *(rng.randrange(1, 10 ** 6) for _ in range(40))])
+    k = np.array([1, 1, 2, 1, 1, 3, 7, 5, 77, 19, 3, *(rng.randrange(1, 10 ** 4) for _ in range(40))])
+    w = np.array([math.isqrt(4 * x) for x in k.tolist()])
+    for b in (-w, np.minimum(-w + 64, w), np.minimum(-w + 17, w), w - 3):
+        mask = counting._sieve_masks(n, k * n + b, w - b)
+        for j in range(n.size):
+            least = int(n[j] * (k[j] * n[j] + b[j]) + 1)
+            for i in range(64):
+                ell = int(b[j]) + i
+                v = int(n[j] * (k[j] * n[j] + ell) + 1)
+                want = ell > w[j] or (least > 61 and any(v % r == 0 for r in arith._SMALL_PRIMES))
+                assert bool(mask[j] >> np.uint64(i) & np.uint64(1)) == want, (n[j], k[j], ell)
+
+
 def _kernel_rows_checked(ctx, ns):
     # _kernel_rows over ns, drawn lazily: its prefixes must be contiguous, in
     # order and cover each row once, and the rows drawn but not yet yielded
-    # must stay within the pool's bound, whatever the length of ns
+    # must stay within the pool's bound, whatever the length of ns: each
+    # round tests one offset of every live cell, a block's move included, so
+    # a cell lives at most one round per offset of its window
     K = ctx.K
-    rounds = -(-(2 * math.isqrt(4 * K) + 1) // counting._KERNEL_STEP)
+    rounds = 2 * math.isqrt(4 * K) + 1
     bound = (rounds + 1) * max(1, counting._BLOCK_CELLS // K)
     drawn = []
 
@@ -405,6 +429,32 @@ def test_kernel_rows_match_predicate(monkeypatch):
     # non-consecutive, unsorted and empty row lists; a pool of one cell, so
     # that one row is admitted at a time, and a pool narrower than a row
     cases = [(40, [1, 5, 6, 13, 40, 2]), (100, [7, 3, 90]), (40, []), (1, [1, 2, 3, 200])]
+    # rows at K = 40 whose candidates, k n^2 for k = 1..40, straddle each
+    # tier bound of arith._MR_TIERS from 4,759,123,141 up, BATCH_BOUND among
+    # them, where the batch hands on to the scalar test, and reach 1.15 10^18
+    bounds = [bound for bound, _ in arith._MR_TIERS[2:-1]]
+    ns = [math.isqrt(bound // 20) for bound in bounds] + [math.isqrt(115 * 10 ** 16 // 40)]
+    assert all(n * n < bound < 40 * n * n for n, bound in zip(ns, bounds))
+    assert arith.BATCH_BOUND in bounds and 40 * ns[-1] ** 2 > 10 ** 18
+    cases.append((40, ns))
+    # the sieve masks' edges: windows holding a value up to 61, which is then
+    # its own witness (rows n <= 8, and cell (1, 1), whose window starts at
+    # v = 0); rows divisible by each prime up to 61, which then never
+    # divides v; cells whose first prime lies past their first 64 offsets;
+    # and prime-free cells whose windows span three blocks
+    late = {(13, 614): 71, (59, 628): 90, (61, 491): 73}
+    free = [(673, 1062), (823, 1048), (857, 1034)]
+    for (n, k), index in late.items():
+        q = smallest_prime_witness(GroupShape(n, k))
+        assert (q - 1 - k * n * n) // n + math.isqrt(4 * k) == index >= 64
+    for n, k in free:
+        assert math.isqrt(4 * k) >= 64 and smallest_prime_witness(GroupShape(n, k)) is None
+    # row 29267 at K = 2 has every value of both windows sieved out, so its
+    # cells are done on admission, alone or among other rows
+    cases += [(2, [29267]), (2, [4, 29267, 7]),
+              (12, list(range(1, 9))),
+              (60, [*arith._SMALL_PRIMES, 30030, 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23]),
+              (628, [13, 59, 61]), (1062, [673, 823, 857])]
     for cells in (None, 1, 37):
         if cells is not None:
             monkeypatch.setattr(counting, "_BLOCK_CELLS", cells)
@@ -416,7 +466,7 @@ def test_kernel_rows_match_predicate(monkeypatch):
 
 def test_kernel_rows_hold_a_bounded_window(monkeypatch):
     # a pool of three rows of 40 cells over 300 rows: the rows held stay
-    # within (ceil(25 / step) + 1) * 3 however many rows there are
+    # within (25 + 1) * 3 however many rows there are
     monkeypatch.setattr(counting, "_BLOCK_CELLS", 3 * 40)
     ns = list(range(1, 301))
     got = _kernel_rows_checked(counting._SieveContext(300, 40), ns)
