@@ -218,32 +218,45 @@ def _run_primes(args):
 # below, from 3 10^6 to 3 10^7 rows: 19-28 a prime (sets --m 2 --k 2). An
 # entry, as the peak over that of sets --m 2 --k 2 at the same rows, takes
 # 50-62 for JSON and 79-124 for CSV (sets, nm1 --m 2 --k 1) and 34-60 for
-# n2k --k 1, rising with the rows; CSV rows are built only for CSV.
+# n2k --k 1, rising with the rows; CSV rows are built only for CSV. A degree-1
+# scan, the cell kernel included, peaks at 69 and 133 bytes a row for
+# sets --m 1 --k 1000 at 10^6 rows, nearly all of them entries, and at 23 and
+# 35 for nm1 --m 1 at 3 10^6 rows.
 _SCAN_PRIME_BYTES = 30
 _SCAN_ENTRY_BYTES = {"json": 80, "csv": 180}
+
+# Peak bytes per row of adam, most of them the square roots of 1 mod n that
+# the prime-power marks of counting.membership_grid gather: 466 and 371 at
+# 10^6 and 3 10^6 rows, in either format.
+_ADAM_ROW_BYTES = 450
 
 
 def _require_scan_memory(args, m, k):
     """OverflowError up front when the degree-m scan for cofactor k would not
     fit: the primes up to the m-th root of the largest candidate, and the n.
 
-    A scan finds at most three n a prime, and at most tmax. For k = h^2 a
-    degree-2 scan finds about two, n = (p -+ 1)/h. For any other k its n
-    solve the Pell-type X^2 - 4k p^2 = l^2 - 4k, X = 2kn + l, and are few
-    (18 for k = 2 up to 3 10^7), so only the primes are counted.
+    At degree 1 the cell kernel holds a bounded pool, no primes are listed
+    and every n may be an entry. At degree m >= 2 a scan finds at most three
+    n a prime, and at most tmax. For k = h^2 a degree-2 scan finds about two,
+    n = (p -+ 1)/h. For any other k its n solve the Pell-type
+    X^2 - 4k p^2 = l^2 - 4k, X = 2kn + l, and are few (18 for k = 2 up to
+    3 10^7), so only the primes are counted.
     """
-    # pi(x) < 1.25506 x / ln x for x > 1 (Rosser and Schoenfeld 1962)
-    x = max(2, arith.iroot(arith.candidate_bound(args.tmax, k), m))
-    primes = 1.25506 * x / math.log(x)
-    entries = min(args.tmax, 3 * primes) if math.isqrt(k) ** 2 == k else 0
+    vmax = arith.candidate_bound(args.tmax, k)
+    if m < 2:
+        primes, entries = 0, args.tmax
+    else:
+        # pi(x) < 1.25506 x / ln x for x > 1 (Rosser and Schoenfeld 1962)
+        x = max(2, arith.iroot(vmax, m))
+        primes = 1.25506 * x / math.log(x)
+        entries = min(args.tmax, 3 * primes) if math.isqrt(k) ** 2 == k else 0
     counting._require_memory(
         int(_SCAN_PRIME_BYTES * primes + _SCAN_ENTRY_BYTES[args.format] * entries),
         "the n-set scan")
 
 
 def _run_sets(args):
-    if args.m >= 2:
-        _require_scan_memory(args, args.m, args.k)
+    _require_scan_memory(args, args.m, args.k)
     fn = special_sets.candidate_n_set if args.tilde else special_sets.realizable_n_set
     ns = fn(args.m, args.k, args.tmax)
     obj = {"m": args.m, "k": args.k, "tmax": args.tmax,
@@ -273,14 +286,14 @@ def _run_kk(args):
 
 
 def _run_nm1(args):
-    if args.m >= 2:
-        _require_scan_memory(args, args.m, 1)
+    _require_scan_memory(args, args.m, 1)
     ns = special_sets.balanced_n_set(args.m, args.tmax)
     obj = {"m": args.m, "tmax": args.tmax, "n_set": ns}
     return obj, ((n,) for n in ns), ("n",)
 
 
 def _run_adam(args):
+    counting._require_memory(_ADAM_ROW_BYTES * args.tmax, "the n-set scan")
     members, sufficient = special_sets.balanced_prime_power_only(args.tmax)
     suff = set(sufficient)
     obj = {"tmax": args.tmax, "members": members, "sufficient": sufficient}

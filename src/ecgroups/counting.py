@@ -6,13 +6,14 @@ evaluates the witness-prime double sum two independent ways: a direct
 primality test of every candidate and a progression-count identity. The
 two must agree exactly.
 
-The bulk path decides rows n with one cell kernel: cell (n, k) is in the
-prime-witness set when its window v = k n^2 + l n + 1, l^2 <= 4k, holds a
-prime. Each cell walks its window in blocks of 64 offsets l, each with a
-64-bit mask of the offsets whose value has a factor up to 61, built once a
-block from small tables; each round tests every live cell's next offset
-that its mask leaves with one batched primality test, and a cell drops
-out at its first prime. The kernel keeps one pool of live cells,
+The bulk path decides rows n with one cell kernel over a set of columns
+k, 1..K for a survey or one k for a degree-1 n set of special_sets: cell
+(n, k) is in the prime-witness set when its window v = k n^2 + l n + 1,
+l^2 <= 4k, holds a prime. Each cell walks its window in blocks of 64
+offsets l, each with a 64-bit mask of the offsets whose value has a
+factor up to 61, built once a block from small tables; each round tests
+every live cell's next offset that its mask leaves with one batched
+primality test, and a cell drops out at its first prime. The kernel keeps one pool of live cells,
 admits whole rows as cells finish and hands on each prefix of rows once
 it is done. Prime-power witnesses (q = p^j, j >= 2) are sparse and come
 from one numpy pass over chunks of rows: q = p^2 from the primes p with
@@ -76,21 +77,23 @@ class SeriesPoint:
 # ---------------------------------------------------------------------------
 
 class _SieveContext:
-    """Shared precomputation for one rectangle: the window widths.
+    """Shared precomputation for a set of columns: the k and their widths.
 
     Cell (n, k) holds the candidates v = k n^2 + l n + 1 with |l| <= w_k,
-    w_k = isqrt(4k). The widths depend on K alone and serve every row.
+    w_k = isqrt(4k). The columns ks, an ascending int64 array, are 1..K
+    unless given; a kernel row holds them at positions 1..len(ks). The
+    widths W depend on the columns alone and serve every row.
     """
 
-    __slots__ = ("K", "W")
+    __slots__ = ("ks", "W")
 
-    def __init__(self, N, K):
-        self.K = K
-        self.W = np.array([math.isqrt(4 * k) for k in range(1, K + 1)], dtype=np.int64)
+    def __init__(self, N, K, ks=None):
+        self.ks = np.asarray(range(1, K + 1) if ks is None else ks, dtype=np.int64)
+        self.W = np.array([math.isqrt(4 * k) for k in self.ks.tolist()], dtype=np.int64)
 
 
 def _sieve_row(ctx, n):
-    """Membership of (n, k) in the prime-witness set for every k <= K."""
+    """Membership of (n, k) in the prime-witness set for every column k."""
     return _row_kernel(ctx, [n])[0]
 
 
@@ -175,17 +178,17 @@ def _admit(ctx, live, new, drawn):
     starts at its window's first block, its mask built with each n mod r
     taken once a row, and moves on past blocks sieved out entirely; a cell
     whose whole window is sieved out is left out."""
-    K = ctx.K
-    ks = np.arange(1, K + 1, dtype=np.int64)
+    K = ctx.ks.size
     old = live.shape[1]
     grown = np.empty((5, old + new.size * K), dtype=np.int64)
     grown[:, :old] = live
     n, c, top, cell, mask = (col.reshape(new.size, K) for col in grown[:, old:])
     n[:] = new[:, None]
-    np.multiply(new[:, None], ks, out=c)
+    np.multiply(new[:, None], ctx.ks, out=c)
     c -= ctx.W
     np.multiply(ctx.W, 2, out=top)
-    np.add(np.arange(drawn, drawn + new.size)[:, None] * (K + 1), ks, out=cell)
+    # a cell's index counts its column's position 1..K, not its k
+    np.add(np.arange(drawn, drawn + new.size)[:, None] * (K + 1), np.arange(1, K + 1), out=cell)
     mask[:] = _sieve_masks(new[:, None], c, top).view(np.int64)
     n, c, top, cell, mask = grown
     _advance(n, c, top, mask.view(np.uint64), old + np.flatnonzero(mask[old:] == -1))
@@ -219,9 +222,9 @@ def _round(live):
 
 
 def _kernel_rows(ctx, ns):
-    """Yield (first, rows) for the rows ns in order: rows, shape (m, K + 1),
-    holds rows first, ..., first + m - 1 of ns, counted from 0, each cell
-    certified by its first prime, column 0 unused.
+    """Yield (first, rows) for the rows ns in order: rows, shape (m, K + 1)
+    for the K columns of ctx, holds rows first, ..., first + m - 1 of ns,
+    counted from 0, each cell certified by its first prime, column 0 unused.
 
     One pool of live cells: when it holds _BLOCK_CELLS // 2 cells or fewer,
     the next whole rows of ns come in, at least one, up to _BLOCK_CELLS
@@ -234,7 +237,7 @@ def _kernel_rows(ctx, ns):
     of rows whose cells are all done is yielded as soon as it is. Only the
     live cells and the rows drawn from ns but not yet yielded are held.
     """
-    K = ctx.K
+    K = ctx.ks.size
     width = K + 1
     ns = iter(ns)
     # one column per live cell: n, c = k n + b for its block's first offset
@@ -266,7 +269,7 @@ def _kernel_rows(ctx, ns):
 
 def _row_kernel(ctx, ns):
     """Rows ns, shape (len(ns), K + 1), from _kernel_rows."""
-    return np.concatenate([np.zeros((0, ctx.K + 1), dtype=bool),
+    return np.concatenate([np.zeros((0, ctx.ks.size + 1), dtype=bool),
                            *(rows for _, rows in _kernel_rows(ctx, ns))])
 
 

@@ -6,9 +6,12 @@ and the realizable set keeps those passing the full realizability test.
 Degree 2 admits a complete classification of the gap between the two;
 degree >= 3 is finite per cofactor and searched within explicit bounds;
 every degree is hit for every n by an explicit polynomial identity.
-At degree m >= 2 one numpy walk finds the prime-power hits and
-realizability.hits_realizable decides them; bounded scans re-derive the
-Diophantine facts behind the paper's classification.
+At degree 1 the set is the column k of the prime-witness set, which the
+cell kernel of counting decides over one column; the square shapes
+needing a proper prime power read both k = 1 columns of
+counting.membership_grid. At degree m >= 2 one numpy walk finds the
+prime-power hits and realizability.hits_realizable decides them; bounded
+scans re-derive the Diophantine facts behind the paper's classification.
 """
 
 from __future__ import annotations
@@ -19,13 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import arith
-from .realizability import (GroupShape, hits_realizable, smallest_prime_power_witness,
-                            smallest_prime_witness)
+from . import arith, counting
+from .realizability import hits_realizable
 
 DEFAULT_DEGREE_MAX = 40
 DEFAULT_Q_MAX = 10 ** 12
-DEFAULT_VERIFY_LIMIT = 2000
 
 FORM_NAMES = ("x^2+1", "x^2+x+1", "x^2-x+1")
 _FORM_B = {"x^2+1": 0, "x^2+x+1": 1, "x^2-x+1": -1}
@@ -116,8 +117,10 @@ def _n_set(m, k, T):
         raise ValueError("degree must be positive")
     vmax = arith.candidate_bound(T, k)
     if m == 1:
-        # over F_p every prime candidate is a witness
-        ns = np.array([n for n in range(1, T + 1) if smallest_prime_witness(GroupShape(n, k))])
+        # over F_p every prime candidate is a witness: the column k of the
+        # prime-witness set, from the cell kernel
+        ctx = counting._SieveContext(T, k, ks=[k])
+        ns = np.flatnonzero(counting._row_kernel(ctx, range(1, T + 1))[:, 1]) + 1
         return ns, np.ones(ns.size, dtype=bool)
     # the primes in [1, r] are empty below r = 2
     p = arith.primes_in_range(1, arith.iroot(vmax, m))
@@ -263,20 +266,11 @@ def fixed_degree_witness(n, m):
 def balanced_n_set(m, T):
     """All n <= T whose square group Z_n x Z_n is realized at degree m.
 
-    For m >= 2 this is realizable_n_set(m, 1, T), which C05 and the tests hold
-    to the paper: n = p^(m/2) +/- 1 at even m, {18, 19} at m = 3, none at odd
-    m >= 5. Degree 1 scans n^2+1 and n^2 +/- n + 1 for primality; its prefix
-    up to DEFAULT_VERIFY_LIMIT must agree with the definitional set.
+    This is realizable_n_set(m, 1, T), which C05 and the tests hold to the
+    paper: n = p^(m/2) +/- 1 at even m, {18, 19} at m = 3, none at odd
+    m >= 5, and at m = 1 the n with n^2 + 1 or n^2 +/- n + 1 prime.
     """
-    if m != 1:
-        return realizable_n_set(m, 1, T)
-    arith.candidate_bound(T, 1)
-    fast = [n for n in range(1, T + 1)
-            if any(arith.is_prime(n * n + b * n + 1) for b in _FORM_B.values())]
-    lim = min(T, DEFAULT_VERIFY_LIMIT)
-    if [n for n in fast if n <= lim] != realizable_n_set(1, 1, lim):
-        raise RuntimeError("fast path disagrees with the definitional scan")
-    return fast
+    return realizable_n_set(m, 1, T)
 
 
 def balanced_prime_power_only(T):
@@ -287,20 +281,15 @@ def balanced_prime_power_only(T):
     n -/+ 1 prime, all three quadratics composite). The window of (n, 1) is
     (n - 1)^2, n^2 - n + 1, n^2 + 1, n^2 + n + 1, (n + 1)^2, and the squares
     are never prime, so the quadratics are all composite exactly when n is
-    outside the prime-witness set.
+    outside the prime-witness set. Both k = 1 columns come from
+    counting.membership_grid.
     """
-    if T < 1:
-        raise ValueError("T must be positive")
-    members = []
-    sufficient = []
-    for n in range(1, T + 1):
-        shape = GroupShape(n, 1)
-        in_pi = smallest_prime_witness(shape) is not None
-        in_Pi = smallest_prime_power_witness(shape) is not None
-        if in_Pi and not in_pi:
-            members.append(n)
-        if not in_pi and arith.is_prime(n - 1) != arith.is_prime(n + 1):
-            sufficient.append(n)
+    spi, spp = counting.membership_grid(T, 1)
+    ns = np.arange(1, T + 1)
+    outside = ~spi[1:, 1]
+    near = arith.is_prime_batch(np.stack([ns - 1, ns + 1]))
+    members = ns[spp[1:, 1] & outside].tolist()
+    sufficient = ns[outside & (near[0] != near[1])].tolist()
     assert set(sufficient) <= set(members)
     return members, sufficient
 

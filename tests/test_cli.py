@@ -1,5 +1,6 @@
 """End-to-end subcommand behavior: payload shapes, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import pathlib
@@ -231,6 +232,31 @@ def test_adam(capsys):
     assert 1 not in rows
 
 
+# sha256 of degree-1 payloads, recorded before these scans moved onto the
+# cell kernel
+DEGREE_ONE_PAYLOADS = {
+    "adam --tmax 2000":
+        "dab48a35b6eba71d309366e0f8eea410b87b160dd816f64025aea90b77631b50",
+    "adam --tmax 2000 --format csv":
+        "6da119fc4c214599c262d57a44fd8ef052133591749d5771c3811591a18d14d5",
+    "nm1 --m 1 --tmax 3000":
+        "271d1eb70e657fb6de12c445684f3cd5f4d430dcb97aed9b67c7362b4eb84d5e",
+    "nm1 --m 1 --tmax 3000 --format csv":
+        "dac48d7318151dbcd4eeab0a8d7b0b05c9f56e9e038bea36521db67f202780a4",
+    "sets --m 1 --k 7 --tmax 3000":
+        "352fa02174ea80840778df80c36d478cee3ffb74847dc51c2c60a556c25517c4",
+    "sets --m 1 --k 7 --tmax 3000 --format csv":
+        "f5996adf87488f7c29c683b1a2ff79168191b9335db4ff09d48e4328148e78a5",
+}
+
+
+def test_degree_one_payloads_pinned(capsys):
+    for argv, digest in DEGREE_ONE_PAYLOADS.items():
+        code, out = run(capsys, *argv.split())
+        assert code == 0, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
 def test_witness(capsys):
     code, out = run(capsys, "witness", "--n", "3", "--m", "2")
     obj = json.loads(out)
@@ -363,6 +389,28 @@ def test_degree_two_scans_check_memory_before_sieving(monkeypatch, capsys):
                 ["nm1", "--m", "2", "--tmax", "100000", "--format", "csv"],
                 ["n2k", "--k", "3", "--tmax", "100000"])
     monkeypatch.setattr(arith, "primes_in_range", no_sieve)
+    monkeypatch.setattr(counting, "_memory_budget", lambda: 10 ** 5)
+    for argv in requests:
+        assert cli.main(argv) == 3, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "n-set scan" in captured.err, argv
+    monkeypatch.undo()
+    for argv in requests:
+        assert cli.main(argv) == 0, argv
+        capsys.readouterr()
+
+
+def test_degree_one_scans_check_memory_before_sieving(monkeypatch, capsys):
+    # below a 100 kB budget the degree-1 scans of sets, nm1 and adam exit 3
+    # before the cell kernel runs; the same requests run at the real budget
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("ran the kernel before the memory check")
+
+    requests = (["sets", "--m", "1", "--k", "1", "--tmax", "100000"],
+                ["sets", "--m", "1", "--k", "7", "--tmax", "100000", "--tilde"],
+                ["nm1", "--m", "1", "--tmax", "100000", "--format", "csv"],
+                ["adam", "--tmax", "100000"])
+    monkeypatch.setattr(counting, "_kernel_rows", no_kernel)
     monkeypatch.setattr(counting, "_memory_budget", lambda: 10 ** 5)
     for argv in requests:
         assert cli.main(argv) == 3, argv

@@ -404,8 +404,8 @@ def _kernel_rows_checked(ctx, ns):
     # must stay within the pool's bound, whatever the length of ns: each
     # round tests one offset of every live cell, a block's move included, so
     # a cell lives at most one round per offset of its window
-    K = ctx.K
-    rounds = 2 * math.isqrt(4 * K) + 1
+    K = ctx.ks.size
+    rounds = 2 * math.isqrt(4 * int(ctx.ks[-1])) + 1
     bound = (rounds + 1) * max(1, counting._BLOCK_CELLS // K)
     drawn = []
 
@@ -462,6 +462,23 @@ def test_kernel_rows_match_predicate(monkeypatch):
             got = _kernel_rows_checked(counting._SieveContext(max(ns, default=1), K), ns)
             assert np.array_equal(got, _predicate_rows(ns, K)), (cells, K, ns)
             assert np.array_equal(got, counting._row_kernel(counting._SieveContext(1, K), ns))
+
+
+def test_kernel_column_sets_match_predicate(monkeypatch):
+    # a context over chosen columns holds column ks[j - 1] at position j:
+    # lone columns and columns whose k exceeds their count, windows of one
+    # block and of several, prime-free cells and late first primes, and row
+    # 29267, whose k = 1 and k = 2 windows are sieved out on admission
+    cases = [([7], list(range(1, 60))), ([1000], [1, 2, 3, 673]),
+             ([2, 614, 628, 1062], [13, 59, 61, 673, 823, 857]),
+             ([1], [29267]), ([2], [4, 29267, 7])]
+    for cells in (None, 1, 37):
+        if cells is not None:
+            monkeypatch.setattr(counting, "_BLOCK_CELLS", cells)
+        for ks, ns in cases:
+            ctx = counting._SieveContext(max(ns), ks[-1], ks=ks)
+            got = _kernel_rows_checked(ctx, ns)
+            assert np.array_equal(got, _predicate_rows(ns, ks[-1])[:, [0, *ks]]), (cells, ks)
 
 
 def test_kernel_rows_hold_a_bounded_window(monkeypatch):

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecgroups import arith
+from ecgroups import arith, counting
 from ecgroups import special_sets as ss
-from ecgroups.realizability import GroupShape, shape_realizable_over
+from ecgroups.realizability import (GroupShape, shape_realizable_over,
+                                    smallest_prime_power_witness, smallest_prime_witness)
 
 # Known complete n-sets for small cofactors within the default search
 # bounds, with the certifying identities spelled out as (n, p, m, ell),
@@ -76,10 +77,30 @@ def test_realizable_subset_of_candidates():
             assert set(real) <= set(cand)
 
 
-def test_degree_one_sets_agree():
-    # over a prime field every candidate is realizable
+def test_degree_one_sets_agree(monkeypatch):
+    # over a prime field every candidate is realizable. The one-column kernel
+    # against the literal scan: windows of one 64-offset block and of several
+    # (isqrt(4k) >= 64 from k = 1024 on), and the shortest row ranges
     for k in range(1, 21):
         assert ss.realizable_n_set(1, k, 300) == _reference_n_set(1, k, 300, True)
+    for k in (1000, 4096, 10 ** 6):
+        assert ss.realizable_n_set(1, k, 40) == _reference_n_set(1, k, 40, True)
+    for k in (1, 2, 7, 1000, 4096, 10 ** 6):
+        for T in (1, 2, 3):
+            assert ss.realizable_n_set(1, k, T) == _reference_n_set(1, k, T, True)
+    # row 11 at k = 1 is the last row drawn, and its window 100, 111, 122,
+    # 133, 144 is sieved out on admission
+    window = [11 * 11 + ell * 11 + 1 for ell in range(-2, 3)]
+    assert all(v > 61 and any(v % r == 0 for r in arith._SMALL_PRIMES) for v in window)
+    assert ss.realizable_n_set(1, 1, 11) == _reference_n_set(1, 1, 11, True) == list(range(1, 11))
+
+    # a bound past the 2^63 range is refused before the kernel runs
+    def no_kernel(*args):
+        raise AssertionError("ran the kernel past the bound")
+
+    monkeypatch.setattr(counting, "_kernel_rows", no_kernel)
+    with pytest.raises(OverflowError):
+        ss.candidate_n_set(1, 1, 4 * 10 ** 9)
 
 
 def _reference_n_set(m, k, T, realizable):
@@ -293,6 +314,15 @@ def test_balanced_even_degree_count():
                                               if p * p + d <= T})
 
 
+def test_balanced_degree_one_is_literal():
+    # the paper's degree-1 square set: n^2 + 1 or n^2 +/- n + 1 prime, at
+    # every T <= 40 and at T = 1999 and 2000
+    literal = [n for n in range(1, 2001)
+               if any(arith.is_prime(n * n + b * n + 1) for b in (-1, 0, 1))]
+    for T in (*range(1, 41), 1999, 2000):
+        assert ss.balanced_n_set(1, T) == [n for n in literal if n <= T], T
+
+
 def test_balanced_matches_definition():
     for m in range(1, 7):
         assert ss.balanced_n_set(m, 400) == ss.realizable_n_set(m, 1, 400)
@@ -317,8 +347,24 @@ def test_prime_power_only_sufficient_is_literal():
     assert sufficient == literal
 
 
+def test_prime_power_only_matches_scalar_reference():
+    # per n from the scalar predicates: a member when a proper prime power
+    # witnesses (n, 1) and no prime does, sufficient when no prime does and
+    # exactly one of n -/+ 1 is prime
+    members, sufficient = [], []
+    for n in range(1, 2001):
+        shape = GroupShape(n, 1)
+        in_pi = smallest_prime_witness(shape) is not None
+        if not in_pi and smallest_prime_power_witness(shape) is not None:
+            members.append(n)
+        if not in_pi and arith.is_prime(n - 1) != arith.is_prime(n + 1):
+            sufficient.append(n)
+    for T in (1, 2, 3, 31, 32, 33, 1000, 2000):
+        got = ss.balanced_prime_power_only(T)
+        assert got == ([n for n in members if n <= T], [n for n in sufficient if n <= T]), T
+
+
 def test_prime_power_only_matches_grid():
-    from ecgroups import counting
     spi, spp = counting.membership_grid(60, 1)
     members, _ = ss.balanced_prime_power_only(60)
     expected = [n for n in range(1, 61) if spp[n, 1] and not spi[n, 1]]
