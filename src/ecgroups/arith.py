@@ -6,10 +6,11 @@ because a single misclassified candidate flips a set membership downstream.
 The tiers (_MR_TIERS) pair base sets with the least strong pseudoprime to
 all of them: the first 1, 2, 5, 6 or 7 prime bases (OEIS A014233), and
 (2, 7, 61) and (2, 13, 23, 1662803) (Jaeschke, Math. Comp. 61, 1993).  `is_prime_batch`
-runs the same tiers over a numpy int64 array in two stages, a base-2
-probable-prime stage and a certify stage of each value's other bases;
-values at or above BATCH_BOUND = 341,550,071,728,321 take the scalar
-test.  Scalar values are plain Python ints (exact); range limits are
+runs the same tiers over a numpy int64 array in one pass with no trial
+division: the base-2 strong test, then each survivor's other bases; values
+at or above BATCH_BOUND = 341,550,071,728,321 take the scalar test.  The
+tiers are exhaustive for every odd value, so callers presieve small factors
+for speed only.  Scalar values are plain Python ints (exact); range limits are
 enforced explicitly so callers get an OverflowError instead of silently
 huge computations.
 """
@@ -84,11 +85,6 @@ def is_prime(x: int) -> bool:
 # are also below 2^50, where _sqmod's float quotient is exact
 BATCH_BOUND = _MR_TIERS[-2][0]
 _TIER_BOUNDS = np.array([bound for bound, _ in _MR_TIERS[:-1]], dtype=np.int64)
-
-# Divisibility by an odd p without division (Granlund and Montgomery, PLDI
-# 1994): x is a multiple of p iff x p^-1 mod 2^64 <= (2^64 - 1) // p.
-_ODD_DIVISIBILITY = tuple((np.uint64(pow(p, -1, 1 << 64)), np.uint64(((1 << 64) - 1) // p))
-                          for p in _SMALL_PRIMES[1:])
 
 
 def _sqmod(y, m, c=None, out=None, work=None, lazy=False):
@@ -187,73 +183,33 @@ def _sprp(v, a):
     return ok
 
 
-def probable_prime_batch(values) -> np.ndarray:
-    """The probable-prime stage of is_prime_batch, as a bool array.
+def is_prime_batch(values) -> np.ndarray:
+    """is_prime over an array of values < 2^63, as a bool array.
 
-    False for every value shown composite (or below 2) by trial division by
-    the primes up to 61 or by the base-2 strong probable-prime test; True
-    for the primes up to 61, for the base-2 strong probable primes with no
-    factor up to 61, and for the values at or above BATCH_BOUND, which this
-    stage leaves to certify_batch.  Every prime is kept.
+    One pass of the strong tests, no trial division: 2 is prime, other even
+    values and values below 2 are not, every odd value from 3 up takes the
+    base 2 and those passing it the other bases of their tier in _MR_TIERS,
+    which is exhaustive for every odd value, and values at or above
+    BATCH_BOUND take the scalar is_prime.  Correct on any input; fast on
+    values presieved of small factors, as the cell kernel's are.
     """
     v = np.asarray(values, dtype=np.int64)
     vals = v.reshape(-1)
-    out = vals >= BATCH_BOUND
-    small = vals <= _SMALL_PRIMES[-1]
-    out[small] = np.isin(vals[small], _SMALL_PRIMES)
-    u = vals.view(np.uint64)
-    keep = ~(small | out) & (u & 1).astype(bool)
-    prod = np.empty_like(u)
-    coprime = np.empty_like(keep)
-    for inverse, most in _ODD_DIVISIBILITY:
-        keep &= np.greater(np.multiply(u, inverse, out=prod), most, out=coprime)
-    idx = np.flatnonzero(keep)
+    out = vals == 2
+    big = vals >= BATCH_BOUND
+    idx = np.flatnonzero((vals & 1).astype(bool) & (vals > 2) & ~big)
     if idx.size:
-        out[idx] = _sprp(vals[idx], 2)
-    return out.reshape(v.shape)
-
-
-def certify_batch(values) -> np.ndarray:
-    """The certify stage of is_prime_batch over a flat int64 array.
-
-    For values that passed probable_prime_batch: whether each is prime.
-    Below BATCH_BOUND a value runs the bases of its tier in _MR_TIERS after
-    2, each on the values that passed the ones before; at or above it the
-    value goes to the scalar is_prime.
-    """
-    w = np.asarray(values, dtype=np.int64)
-    out = np.ones(w.shape, dtype=bool)
-    tier = np.searchsorted(_TIER_BOUNDS, w, side="right")
+        idx = idx[_sprp(vals[idx], 2)]
+    tier = np.searchsorted(_TIER_BOUNDS, vals[idx], side="right")
     for t, (_, bases) in enumerate(_MR_TIERS[:-1]):
-        idx = np.flatnonzero(tier == t)
+        sub = idx[tier == t]
         for a in bases[1:]:
-            if not idx.size:
+            if not sub.size:
                 break
-            passed = _sprp(w[idx], a)
-            out[idx[~passed]] = False
-            idx = idx[passed]
-    for i in np.flatnonzero(tier == len(_TIER_BOUNDS)).tolist():
-        out[i] = is_prime(int(w[i]))
-    return out
-
-
-def is_prime_batch(values) -> np.ndarray:
-    """is_prime over an array of 0 <= values < 2^63, as a bool array.
-
-    Two stages: probable_prime_batch (trial division by the primes up to
-    61, then the base-2 strong probable-prime test), then certify_batch on
-    what it kept (the other bases of each value's tier in _MR_TIERS, or the
-    scalar is_prime at or above BATCH_BOUND = 341,550,071,728,321).  The
-    tiers are deterministic: (2) below 2047, (2, 3) below 1,373,653 and the
-    first 5, 6 and 7 prime bases below 2,152,302,898,747, 3,474,749,660,383
-    and BATCH_BOUND (OEIS A014233); (2, 7, 61) below 4,759,123,141 and
-    (2, 13, 23, 1662803) below 1,122,004,669,633 (Jaeschke, Math. Comp. 61,
-    1993).
-    """
-    v = np.asarray(values, dtype=np.int64)
-    out = probable_prime_batch(v).reshape(-1)
-    idx = np.flatnonzero(out)
-    out[idx] = certify_batch(v.reshape(-1)[idx])
+            sub = sub[_sprp(vals[sub], a)]
+        out[sub] = True
+    for i in np.flatnonzero(big).tolist():
+        out[i] = is_prime(int(vals[i]))
     return out.reshape(v.shape)
 
 

@@ -147,9 +147,11 @@ def zeta3():
 def bateman_horn_C(P):
     """Truncated prime-pair constant: both products over 3 <= p <= P.
 
-    One pass; the partial value at P // 10 is recorded on the way for
-    convergence inspection (None when P // 10 < 3). The characters come in
-    closed form from p mod 4 and p mod 3, not from Euler's criterion.
+    One pass over the primes, sieved one arith.DEFAULT_SEGMENT at a time so
+    that memory does not grow with P; the partial value at P // 10 is
+    recorded on the way for convergence inspection (None when P // 10 < 3).
+    The characters come in closed form from p mod 4 and p mod 3, not from
+    Euler's criterion.
     """
     if P < 3:
         raise ValueError("P must be at least 3")
@@ -158,13 +160,15 @@ def bateman_horn_C(P):
     tenth_bound = P // 10 if P // 10 >= 3 else None
     t1 = t2 = 1.0
     tenth_value = None
-    for p in arith.primes_in_range(3, P).tolist():
-        if tenth_bound is not None and tenth_value is None and p > tenth_bound:
-            tenth_value = 0.5 * t1 + t2
-        chi4 = 1 if p % 4 == 1 else -1                       # (-1|p)
-        chi3 = 0 if p == 3 else (1 if p % 3 == 1 else -1)    # (-3|p)
-        t1 *= 1.0 - chi4 / (p - 1)
-        t2 *= 1.0 - chi3 / (p - 1)
+    segment = arith.DEFAULT_SEGMENT
+    for lo in range(3, P + 1, segment):
+        for p in arith.primes_in_range(lo, min(lo + segment - 1, P)).tolist():
+            if tenth_bound is not None and tenth_value is None and p > tenth_bound:
+                tenth_value = 0.5 * t1 + t2
+            chi4 = 1 if p % 4 == 1 else -1                       # (-1|p)
+            chi3 = 0 if p == 3 else (1 if p % 3 == 1 else -1)    # (-3|p)
+            t1 *= 1.0 - chi4 / (p - 1)
+            t2 *= 1.0 - chi3 / (p - 1)
     if tenth_bound is not None and tenth_value is None:
         tenth_value = 0.5 * t1 + t2
     return CTruncation(bound=P, value=0.5 * t1 + t2,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,13 +121,17 @@ def _trace_case(p: int, m: int, a: int) -> WaterhouseCase | None:
     return None
 
 
-def candidate_values(shape: GroupShape) -> list[tuple[int, int]]:
-    """(l, kn^2 + ln + 1) for every l with l^2 <= 4k and value >= 2, l ascending."""
+def candidate_values(shape: GroupShape) -> Iterator[tuple[int, int]]:
+    """(l, kn^2 + ln + 1) for every l with l^2 <= 4k and value >= 2, l ascending.
+
+    Lazy, so that a search stopping at its first hit never builds the
+    window; the range guard runs at the call.
+    """
     n, k = shape.n, shape.k
     candidate_bound(n, k)
     base = k * n * n + 1
     L = math.isqrt(4 * k)  # |l| <= 2 sqrt(k) as the exact predicate l^2 <= 4k
-    return [(ell, base + ell * n) for ell in range(-L, L + 1) if base + ell * n >= 2]
+    return ((ell, base + ell * n) for ell in range(-L, L + 1) if base + ell * n >= 2)
 
 
 def _k_is_power_of(k: int, p: int) -> bool:

@@ -282,14 +282,15 @@ def balanced_prime_power_only(T):
     (n - 1)^2, n^2 - n + 1, n^2 + 1, n^2 + n + 1, (n + 1)^2, and the squares
     are never prime, so the quadratics are all composite exactly when n is
     outside the prime-witness set. Both k = 1 columns come from
-    counting.membership_grid.
+    counting.membership_grid, and n -/+ 1 from one sieve up to T + 1.
     """
     spi, spp = counting.membership_grid(T, 1)
     ns = np.arange(1, T + 1)
     outside = ~spi[1:, 1]
-    near = arith.is_prime_batch(np.stack([ns - 1, ns + 1]))
+    prime = np.zeros(T + 2, dtype=bool)
+    prime[arith.primes_in_range(2, T + 1)] = True
     members = ns[spp[1:, 1] & outside].tolist()
-    sufficient = ns[outside & (near[0] != near[1])].tolist()
+    sufficient = ns[outside & (prime[:-2] != prime[2:])].tolist()
     assert set(sufficient) <= set(members)
     return members, sufficient
 

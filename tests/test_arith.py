@@ -185,6 +185,37 @@ def test_is_prime_batch_pseudoprimes_and_small_values():
     assert_batch_matches_scalar([p * q for p in (3, 5, 7, 61) for q in (67, 71, 2 ** 31 - 1)])
 
 
+def test_is_prime_batch_rejects_base2_pseudoprimes_with_small_factors():
+    # the batch test does no trial division, so its strong tests must reject
+    # every base-2 strong pseudoprime with a factor up to 61 on their own
+    odd = np.arange(3, 10 ** 6, 2, dtype=np.int64)
+    found = [v for v in odd[arith._sprp(odd, 2)].tolist() if not arith.is_prime(v)
+             and any(v % p == 0 for p in arith._SMALL_PRIMES)]
+    assert found[:5] == [2047, 3277, 4033, 4681, 8321]
+    assert not arith.is_prime_batch(found).any()
+
+
+def test_is_prime_batch_small_factor_products_at_tier_edges():
+    # r p and r^j for every r up to 61, against the scalar test: p the primes
+    # next to each edge and to each edge over r, r^j the powers of r next to
+    # each edge, with the edges the tier bounds, 2^32 and 2^50
+    def prime_near(x, step):
+        while not arith.is_prime(x):
+            x += step
+        return x
+
+    values = []
+    for edge in [bound for bound, _ in arith._MR_TIERS[:-1]] + [2 ** 32, 2 ** 50]:
+        for r in arith._SMALL_PRIMES:
+            for x in (edge, edge // r):
+                values += [r * prime_near(x - 1, -1), r * prime_near(x + 1, 1)]
+            j = 1
+            while r ** (j + 1) < edge:
+                j += 1
+            values += [r ** j, r ** (j + 1)]
+    assert_batch_matches_scalar(values)
+
+
 def test_is_prime_batch_keeps_shape():
     vals = np.arange(-3, 21, dtype=np.int64).reshape(4, 6)
     got = arith.is_prime_batch(vals)

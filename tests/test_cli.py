@@ -131,6 +131,58 @@ def test_fcurve_resume(tmp_path, capsys):
     assert code == 2  # checkpoint keyed to a different run
 
 
+# an fcurve run that checkpoints at every end of a run of finished rows, in
+# blocks of about two rows, and SIGKILLs itself at its third checkpoint: just
+# after the rename ("written") or with the new file still at its .tmp name
+# ("tmp"); "none" runs to the end
+_DYING_FCURVE = """\
+import os, signal, sys
+from ecgroups import cli, counting
+counting._CHECKPOINT_SECONDS = 0
+counting._BLOCK_CELLS = 80
+mode, argv = sys.argv[1], sys.argv[2:]
+replace, renames = os.replace, []
+
+def dying_replace(src, dst):
+    renames.append(dst)
+    if mode == "tmp" and len(renames) == 3:
+        os.kill(os.getpid(), signal.SIGKILL)
+    replace(src, dst)
+    if mode == "written" and len(renames) == 3:
+        os.kill(os.getpid(), signal.SIGKILL)
+
+os.replace = dying_replace
+sys.exit(cli.main(argv))
+"""
+
+
+def test_fcurve_resumes_after_sigkill(tmp_path):
+    # the run itself is killed at its third checkpoint, once after the rename
+    # and once before it, leaving a stale .tmp; resuming from the same file
+    # gives the stdout and the final checkpoint of an uninterrupted run
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+
+    def fcurve(mode, ck):
+        return subprocess.run([sys.executable, "-c", _DYING_FCURVE, mode, "fcurve",
+                               "--dmax", "40", "--step", "5", "--workers", "1",
+                               "--resume", str(ck)],
+                              env=env, capture_output=True, timeout=120)
+
+    whole = fcurve("none", tmp_path / "whole.json")
+    assert whole.returncode == 0, whole.stderr
+    for mode in ("written", "tmp"):
+        ck = tmp_path / (mode + ".json")
+        killed = fcurve(mode, ck)
+        assert killed.returncode == -signal.SIGKILL and killed.stdout == b"", mode
+        assert 0 < json.loads(ck.read_text())["rows_done"] < 40, mode
+        assert pathlib.Path(str(ck) + ".tmp").exists() == (mode == "tmp"), mode
+        resumed = fcurve("none", ck)
+        assert resumed.returncode == 0, resumed.stderr
+        assert resumed.stdout == whole.stdout, mode
+        assert ck.read_bytes() == (tmp_path / "whole.json").read_bytes(), mode
+
+
 def test_fcurve_resume_rejects_bad_checkpoint(tmp_path, capsys):
     # repeated pairs beyond rows_done would give f(30) = 23 instead of 21,
     # and a file without its missed list is not a checkpoint: both exit 2
@@ -358,6 +410,24 @@ def test_dioph_payload_respects_address_space_limit():
                           timeout=120)
     assert proc.returncode == 3, proc.stderr
     assert "dioph payload" in proc.stderr
+
+
+def test_check_stops_at_first_candidate_under_address_space_limit():
+    # the window of (1, 2^62) holds 2^33 + 1 values; both witness searches
+    # stop near its start, so the answer comes under a 1 GB RLIMIT_AS where
+    # building the window would die of MemoryError
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (10 ** 9, resource.RLIM_INFINITY))
+
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-m", "ecgroups.cli", "check", "1",
+                           str(2 ** 62)],
+                          env=env, preexec_fn=cap, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    obj = json.loads(proc.stdout)
+    assert obj["s_pi"] == obj["s_Pi"]["q"] == 4611686014132420667
 
 
 def test_npsum_respects_address_space_limit():

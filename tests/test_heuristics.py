@@ -145,6 +145,23 @@ def test_bateman_horn_character_values():
     assert heuristics.bateman_horn_C(P).value == 0.5 * t1 + t2
 
 
+def test_bateman_horn_one_segment_at_a_time(monkeypatch):
+    # segments of 1000: the same product bit for bit, and no sieve call
+    # spanning more than one segment
+    want = heuristics.bateman_horn_C(10 ** 6)
+    spans = []
+    sieve = arith.primes_in_range
+
+    def watched(lo, hi):
+        spans.append(hi - lo + 1)
+        return sieve(lo, hi)
+
+    monkeypatch.setattr(arith, "DEFAULT_SEGMENT", 1000)
+    monkeypatch.setattr(arith, "primes_in_range", watched)
+    assert heuristics.bateman_horn_C(10 ** 6) == want
+    assert len(spans) == 1000 and max(spans) <= 1000
+
+
 def test_bad_arguments():
     with pytest.raises(ValueError):
         heuristics.rho(0, 1, 0)
