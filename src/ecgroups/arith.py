@@ -331,12 +331,9 @@ def primes_in_range(lo: int, hi: int) -> np.ndarray:
                 break
             first = max(p * p, ((start + p - 1) // p) * p)
             mask[first - start :: p] = False
-        if start <= 1:
-            mask[: 2 - start] = False
-        seg = mask.nonzero()[0].astype(np.int64) + start
-        out.append(seg)
+        out.append(mask.nonzero()[0].astype(np.int64) + start)
         start = stop + 1
-    return np.concatenate(out) if out else np.empty(0, dtype=np.int64)
+    return np.concatenate(out)
 
 
 def factorize(n: int) -> dict[int, int]:

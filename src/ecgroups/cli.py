@@ -207,11 +207,29 @@ def _run_npsum(args):
     return obj, None, None
 
 
+# Peak bytes per prime listed by primes without --tilde, over the peak of a
+# run listing four: 84-139 for JSON and 146-148 for CSV, measured at 5 10^4
+# to 2.8 10^5 primes (--n 1 --k 10^12 and 4 10^12, --n 7 --k 10^11).
+_PRIME_LIST_BYTES = {"json": 150, "csv": 160}
+
+
 def _run_primes(args):
     shape = GroupShape(args.n, args.k)
-    ps = square_witness_primes(shape) if args.tilde else witness_primes(shape)
+    if args.tilde:
+        ps = square_witness_primes(shape)
+    else:
+        # the window's values are 1 mod n on an interval of y integers, which
+        # holds fewer than 2y / (phi(n) log(y/n)) such primes (Montgomery and
+        # Vaughan, Mathematika 20, 1973); y/n > 2 isqrt(4k) >= 4. The range
+        # guard comes first, keeping n below 2^32 for euler_phi's trial division
+        arith.candidate_bound(args.n, args.k)
+        y = 2 * math.isqrt(4 * args.k) * args.n + 1
+        bound = 2 * y / (arith.euler_phi(args.n) * math.log(y / args.n))
+        counting._require_memory(int(_PRIME_LIST_BYTES[args.format] * bound),
+                                 "the witness-prime list")
+        ps = witness_primes(shape)
     obj = {"n": args.n, "k": args.k, "tilde": bool(args.tilde), "primes": ps}
-    return obj, [(p,) for p in ps], ("p",)
+    return obj, ((p,) for p in ps), ("p",)
 
 
 # Peak bytes of a degree m >= 2 scan per prime and per entry as estimated

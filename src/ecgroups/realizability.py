@@ -10,7 +10,8 @@ iff n1 | q - 1, except in the full-square-trace case where n1 = n2 is forced.
 For a target shape (n, k) over F_q this specializes to: q = kn^2 + ln + 1 for
 an integer l with l^2 <= 4k (so the trace is a = ln + 2), the p-part of the
 group must be cyclic (p cannot divide n; automatic once q = 1 mod n), n1 = n,
-and n2 = kn / p^{v_p(k)}.  So n1 = n2 amounts to k being a power of p.
+and n2 = kn / p^{v_p(k)}.  So n1 = n2 amounts to k being a power of p, that
+is to k = 1: in the full-square case k n^2 = (p^(m/2) -+ 1)^2 is prime to p.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ class Witness:
         assert (self.q - 1) % n == 0
         assert trace_admissible(self.p, self.m, self.trace) is self.case
         if self.case is WaterhouseCase.FullSquareTrace:
-            assert _k_is_power_of(k, self.p)
+            assert k == 1
         return self
 
 
@@ -134,12 +135,6 @@ def candidate_values(shape: GroupShape) -> Iterator[tuple[int, int]]:
     return ((ell, base + ell * n) for ell in range(-L, L + 1) if base + ell * n >= 2)
 
 
-def _k_is_power_of(k: int, p: int) -> bool:
-    while k % p == 0:
-        k //= p
-    return k == 1
-
-
 def shape_realizable_over(q: int, shape: GroupShape,
                           _decomp: tuple[int, int] | None = None) -> Witness | None:
     """Witness that some curve over F_q has group Z_n x Z_kn, or None.
@@ -164,7 +159,7 @@ def shape_realizable_over(q: int, shape: GroupShape,
         return None
     # p | n would make the p-part of the target group rank 2; it cannot happen
     # here because q = 1 mod n already forces gcd(n, p) = 1.
-    if case is WaterhouseCase.FullSquareTrace and not _k_is_power_of(k, p):
+    if case is WaterhouseCase.FullSquareTrace and k != 1:
         return None  # the full-square case forces n1 = n2
     return Witness(shape=shape, q=q, p=p, m=m, ell=ell, trace=a, case=case)
 
@@ -225,15 +220,16 @@ def witness_primes(shape: GroupShape) -> list[int]:
 def square_witness_primes(shape: GroupShape) -> list[int]:
     """Primes p whose square is a candidate value for `shape`, ascending.
 
-    Equivalently the primes in [n*sqrt(k) - 1, n*sqrt(k) + 1] with
-    p^2 = 1 mod n; at most one exists outside two explicit exception families.
+    The p with p^2 = 1 mod n and |p^2 - (kn^2 + 1)| <= n isqrt(4k): at most
+    three integers near n sqrt(k), whatever the window's length. At most one
+    exists outside two explicit exception families.
     """
-    out = []
-    for _, v in candidate_values(shape):
-        r = math.isqrt(v)
-        if r * r == v and is_prime(r):
-            out.append(r)
-    return out
+    n, k = shape.n, shape.k
+    candidate_bound(n, k)
+    base, w = k * n * n + 1, n * math.isqrt(4 * k)
+    # base - w >= (n sqrt(k) - 1)^2 >= 0
+    return [p for p in range(math.isqrt(base - w), math.isqrt(base + w) + 1)
+            if abs(p * p - base) <= w and (p * p - base) % n == 0 and is_prime(p)]
 
 
 def hasse_window(q: int) -> tuple[int, int]:

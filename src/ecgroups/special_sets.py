@@ -184,9 +184,10 @@ def degree_two_predicted_gap(k, T):
         return []
     if cls.tag in (DegreeTwoTag.PRIME_SQUARE_PLUS_ONE, DegreeTwoTag.PRIME_QUADRATIC):
         return [1]
-    h = cls.h
-    return [n for n in range(1, T + 1)
-            if arith.is_prime(h * n - 1) or arith.is_prime(h * n + 1)]
+    h = cls.h  # a prime p = +-1 mod h up to hT + 1 is hn +- 1 for n = (p -+ 1)/h
+    p = arith.primes_in_range(2, h * T + 1)
+    n = np.concatenate((p[p % h == 1] - 1, p[p % h == h - 1] + 1)) // h
+    return _distinct(n[n <= T]).tolist()
 
 
 def degree_two_gap(k, T):

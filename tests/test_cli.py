@@ -309,6 +309,43 @@ def test_degree_one_payloads_pinned(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
+# sha256 of payloads whose scans became closed forms: the square witness
+# primes and the k = h^2 predicted gap, recorded on the window and n scans
+CLOSED_FORM_PAYLOADS = {
+    "n2k --k 4 --tmax 3000":
+        "e44fcea4740e15df02656e35770d28223396f66afa7d53d2b4db20ba417648e3",
+    "primes --n 30 --k 400 --tilde":
+        "433d956dddfaf1efdb0c476f59ba75b653ef18992121bb94792010f8d235b1ca",
+    "primes --n 1000 --k 10000 --tilde":
+        "39cbdc579ffdcfaf9baa94645074c7ba5f1239146a084a1b1f13b0de825444b3",
+}
+
+
+def test_closed_form_payloads_pinned(capsys):
+    for argv, digest in CLOSED_FORM_PAYLOADS.items():
+        code, out = run(capsys, *argv.split())
+        assert code == 0, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def test_primes_checks_memory_before_the_walk(monkeypatch, capsys):
+    # the window of (1, 2^62) holds 2^33 + 1 values and, by the Montgomery-
+    # Vaughan bound, fewer than 7.6 10^8 primes, more than any budget here:
+    # exit 3 before a value is tested; a small window still lists its primes
+    def no_walk(shape):
+        raise AssertionError("walked the window before the memory check")
+
+    monkeypatch.setattr(cli, "witness_primes", no_walk)
+    assert cli.main(["primes", "--n", "1", "--k", str(2 ** 62)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "witness-prime list" in captured.err
+    monkeypatch.undo()
+    code, out = run(capsys, "primes", "--n", "30", "--k", "400")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "260fa187dff152108d261eaec2a7934dd614f04ffb2e21273ebcede57b4da3f5"
+
+
 def test_witness(capsys):
     code, out = run(capsys, "witness", "--n", "3", "--m", "2")
     obj = json.loads(out)

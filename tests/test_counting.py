@@ -229,6 +229,7 @@ def _checkpoint_doc(**change):
     dict(missed=[[11, 1], [13, 6], [11, 1]]),
     dict(missed=[[21, 1]]), dict(missed=[[0, 1]]), dict(missed=[[5, 0]]), dict(missed=[[5, 31]]),
     dict(missed=[[5]]), dict(missed=[[5, 1.0]]), dict(missed=[[5, True]]), dict(missed={"5": 1}),
+    dict(version=2),
 ])
 def test_read_checkpoint_rejects_bad_files(tmp_path, change):
     path = tmp_path / "ck.json"

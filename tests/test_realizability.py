@@ -1,4 +1,6 @@
 import math
+import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -243,6 +245,89 @@ def test_square_witness_count_bound_exhaustive():
                 assert h * h == k and len(ps) == 2
                 assert ps == [h * n - 1, h * n + 1]
                 assert arith.is_prime(h * n - 1) and arith.is_prime(h * n + 1)
+
+
+def square_witness_scan(shape):
+    """square_witness_primes as a scan of the whole window, value by value."""
+    out = []
+    for _, v in candidate_values(shape):
+        r = math.isqrt(v)
+        if r * r == v and arith.is_prime(r):
+            out.append(r)
+    return out
+
+
+def _seeded_shapes(count, seed):
+    """count shapes with n <= 10^6 and k <= 10^4: half uniform, half planted
+    around a prime p, with n | p^2 - 1 and k = round((p^2 - 1) / n^2), so that
+    p^2 is near the middle of the window and often inside it."""
+    rng = random.Random(seed)
+    out = [GroupShape(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 4))
+           for _ in range(count // 2)]
+    while len(out) < count:
+        p = rng.randint(3, 10 ** 5)
+        while not arith.is_prime(p):
+            p += 1
+        ns = [d for d in arith.divisors(p * p - 1)
+              if d <= 10 ** 6 and 1 <= round((p * p - 1) / (d * d)) <= 10 ** 4]
+        if ns:
+            n = rng.choice(ns)
+            out.append(GroupShape(n, round((p * p - 1) / (n * n))))
+    return out
+
+
+def test_square_witness_primes_match_window_scan():
+    hits = 0
+    for s in _seeded_shapes(10 ** 4, seed=25):
+        got = square_witness_primes(s)
+        assert got == square_witness_scan(s), s
+        hits += bool(got)
+    assert hits > 1000
+    for n in range(1, 41):
+        for k in range(1, 41):
+            s = GroupShape(n, k)
+            assert square_witness_primes(s) == square_witness_scan(s), s
+
+
+def test_square_witness_primes_ignore_window_length():
+    # the window of (1, 2^62) holds 2^33 + 1 values; p^2 = 2^62 - 2^32 + 1 at
+    # l = -2^32 is its only prime square
+    start = time.perf_counter()
+    assert square_witness_primes(GroupShape(1, 2 ** 62)) == [2 ** 31 - 1]
+    assert time.perf_counter() - start < 1.0
+
+
+def _k_is_power_of(k, p):
+    while k % p == 0:
+        k //= p
+    return k == 1
+
+
+def test_full_square_case_needs_k_one():
+    # Rueck's rule in the full-square case wants k a power of p; k n^2 =
+    # (p^(m/2) -+ 1)^2 is prime to p, so that is k = 1. Checked over every
+    # full-square hit (q, n, k) with q <= 10^4: a = +-2 p^(m/2), k n^2 =
+    # q + 1 - a and q = 1 mod n
+    hits = 0
+    for q in range(2, 10 ** 4 + 1):
+        d = arith.prime_power_decompose(q)
+        if d is None or d[1] % 2:
+            continue
+        p, m = d
+        for a in (2 * p ** (m // 2), -2 * p ** (m // 2)):
+            order = q + 1 - a
+            for n in range(1, math.isqrt(order) + 1):
+                if order % (n * n) or (q - 1) % n:
+                    continue
+                k = order // (n * n)
+                assert k % p != 0, (q, n, k)
+                w = shape_realizable_over(q, GroupShape(n, k))
+                assert (w is not None) == _k_is_power_of(k, p) == (k == 1), (q, n, k)
+                if w is not None:
+                    assert w.case is WaterhouseCase.FullSquareTrace
+                    w.revalidate()
+                hits += 1
+    assert hits > 400
 
 
 def test_hasse_window():

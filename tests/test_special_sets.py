@@ -237,6 +237,16 @@ def test_predicted_gap_frozen():
     assert ss.degree_two_predicted_gap(7, 10) == []
 
 
+def test_predicted_gap_matches_scalar_definition():
+    # the k = h^2 prediction from one sieve against its definition, n by n
+    for h in range(2, 31):
+        assert ss.degree_two_classify(h * h).h == h
+        for T in (1, 2, 3, 50, 2000):
+            want = [n for n in range(1, T + 1)
+                    if arith.is_prime(h * n - 1) or arith.is_prime(h * n + 1)]
+            assert ss.degree_two_predicted_gap(h * h, T) == want, (h, T)
+
+
 def test_predicted_gap_matches_truth():
     # The prediction equals candidate minus realizable at degree 2, except
     # that the square-family rule overpredicts n = 1 for k = 4 and k = 9
