@@ -8,7 +8,8 @@ Library layout:
   special_sets   candidate vs realizable n-sets, degree-2 exceptional classes,
                  deep degree searches, balanced-shape sets, diophantine scans
   heuristics     prime-density miss model, expected-miss grids, constants
-  curve_oracle   brute-force enumeration of curves over tiny fields (ground truth)
+  curve_oracle   curve groups over tiny fields by numpy exhaustion (ground truth);
+                 its scalar cross-check is tests/scalar_oracle.py
   cli            the ecgroups command-line tool
 """
 

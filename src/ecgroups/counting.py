@@ -583,6 +583,10 @@ def f_series(d_max, step=1, workers=1, resume=None):
     if resume is not None and os.path.exists(resume):
         rows_done, missed = _read_checkpoint(resume, d_max)
         start_n = rows_done + 1
+    if resume is not None:
+        # an unwritable checkpoint fails here, not after the rows before it
+        open(resume + ".tmp", "w").close()
+        os.remove(resume + ".tmp")
     last_write = time.monotonic()
     for first, _, spp in _member_rows(d_max, d_max, workers, start_n=start_n):
         missed += _missed_shapes(first, spp)

@@ -198,6 +198,18 @@ def test_fcurve_resume_rejects_bad_checkpoint(tmp_path, capsys):
     assert code == 2 and out == ""
 
 
+def test_fcurve_resume_unwritable_fails_before_survey(tmp_path, monkeypatch, capsys):
+    # a checkpoint path in a missing directory exits 2 before any row is
+    # surveyed, not at the first checkpoint after them
+    def no_rows(*args, **kwargs):
+        raise AssertionError("surveyed rows before checking the checkpoint path")
+
+    monkeypatch.setattr(counting, "_member_rows", no_rows)
+    ck = str(tmp_path / "no" / "such" / "ck.json")
+    code, out = run(capsys, "fcurve", "--dmax", "600", "--step", "100", "--resume", ck)
+    assert code == 2 and out == ""
+
+
 def test_grid_csv(capsys):
     code, out = run(capsys, "grid", "--nmax", "5", "--kmax", "5",
                     "--format", "csv", "--header")
@@ -323,6 +335,21 @@ CLOSED_FORM_PAYLOADS = {
 
 def test_closed_form_payloads_pinned(capsys):
     for argv, digest in CLOSED_FORM_PAYLOADS.items():
+        code, out = run(capsys, *argv.split())
+        assert code == 0, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+ORACLE_PAYLOADS = {
+    "oracle --qmax 128":
+        "0fcc92529f3f0579415d6fbcdd485345ff6938272302863c002ab22aa008616e",
+    "oracle --qmax 128 --format csv":
+        "8cf88b7fb5efbfee6df7ec76bd4cd2b4b07e980ffa93f413afef4dc576d149df",
+}
+
+
+def test_oracle_payloads_pinned(capsys):
+    for argv, digest in ORACLE_PAYLOADS.items():
         code, out = run(capsys, *argv.split())
         assert code == 0, argv
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv

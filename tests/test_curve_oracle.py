@@ -9,12 +9,9 @@ from ecgroups import arith, curve_oracle
 from ecgroups.curve_oracle import (
     MAX_ORACLE_BOUND,
     BoundError,
-    CurveModel,
     FiniteField,
     atlas,
     build_field,
-    enumerate_curves,
-    group_structure,
     predicted_shapes,
     realized_shapes,
     _badd,
@@ -22,14 +19,21 @@ from ecgroups.curve_oracle import (
     _coset_reps,
     _lane_points,
     _normal_forms,
-    _point_add,
-    _points,
     _resolve_class,
-    _scalar_mul,
+    _ring_tables,
     _square_part,
     _tables,
 )
 from ecgroups.realizability import GroupShape
+from scalar_oracle import (
+    CurveModel,
+    ScalarField,
+    enumerate_curves,
+    group_structure,
+    _point_add,
+    _points,
+    _scalar_mul,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +153,7 @@ def test_field_tables_match_polynomial_reference():
     # every sum and product of every extension field, against digit lists
     # multiplied by schoolbook and reduced by the field's modulus
     for p, m in extension_fields():
-        F = build_field(p, m)
+        F = ScalarField(build_field(p, m))
         T = _tables(F)
         f = F.modulus
         digits = [[a // p ** i % p for i in range(m)] for a in range(F.q)]
@@ -188,7 +192,7 @@ def test_build_field_errors():
 def test_field_axioms_sampled():
     rng = random.Random(7)
     for p, m in [(2, 4), (3, 3), (5, 2), (7, 1)]:
-        F = build_field(p, m)
+        F = ScalarField(build_field(p, m))
         q = F.q
         for _ in range(200):
             a, b, c = (rng.randrange(q) for _ in range(3))
@@ -204,9 +208,16 @@ def test_field_axioms_sampled():
 
 def test_frobenius_fixes_prime_subfield():
     for p, m in [(2, 4), (3, 2), (5, 2)]:
-        F = build_field(p, m)
+        F = ScalarField(build_field(p, m))
         fixed = [a for a in range(F.q) if F.pow(a, p) == a]
         assert fixed == list(range(p))
+
+
+def test_field_rejects_reducible_modulus():
+    # build_field passes irreducible moduli only; over x^2, which is
+    # reducible, the class of x is a zero divisor and has no inverse
+    with pytest.raises(AssertionError, match="no inverse"):
+        FiniteField(2, 2, [0, 0, 1], *_ring_tables(2, 2, [0, 0, 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +225,7 @@ def test_frobenius_fixes_prime_subfield():
 # ---------------------------------------------------------------------------
 
 def test_enumerate_f5_count():
-    F = build_field(5, 1)
+    F = ScalarField(build_field(5, 1))
     curves = list(enumerate_curves(F))
     singular = sum(1 for a4 in range(5) for a6 in range(5)
                    if (4 * a4 ** 3 + 27 * a6 ** 2) % 5 == 0)
@@ -223,7 +234,7 @@ def test_enumerate_f5_count():
 
 
 def test_enumerate_f2():
-    F = build_field(2, 1)
+    F = ScalarField(build_field(2, 1))
     curves = list(enumerate_curves(F))
     assert len(curves) == 2 + 4
     tgt = [c for c in curves if (c.a1, c.a3, c.a4, c.a6) == (0, 1, 0, 0)]
@@ -233,19 +244,19 @@ def test_enumerate_f2():
 
 
 def test_enumerate_f4_attains_upper_hasse_corner():
-    F = build_field(2, 2)
+    F = ScalarField(build_field(2, 2))
     best = max(group_structure(c).order for c in enumerate_curves(F))
     assert best == 9
 
 
 def test_singular_curve_rejected():
-    F = build_field(5, 1)
+    F = ScalarField(build_field(5, 1))
     with pytest.raises(ValueError):
         CurveModel(F, 0, 0, 0, 0, 0)
 
 
 def test_curve_coefficients_validated():
-    F = build_field(5, 1)
+    F = ScalarField(build_field(5, 1))
     with pytest.raises(ValueError):
         CurveModel(F, 0, 0, 0, 9, 1)
 
@@ -255,7 +266,7 @@ def test_curve_coefficients_validated():
 # ---------------------------------------------------------------------------
 
 def test_group_structure_fixed():
-    F5 = build_field(5, 1)
+    F5 = ScalarField(build_field(5, 1))
     gs = group_structure(CurveModel(F5, 0, 0, 0, 1, 0))
     assert (gs.order, gs.d1, gs.d2) == (4, 2, 2)
     assert gs.shape == GroupShape(2, 1)
@@ -265,7 +276,7 @@ def test_structure_against_reference_exhaustive():
     # every curve over every field up to nine elements, checked against an
     # order-statistics reference that never uses the ladder or early exits
     for p, m in [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]:
-        F = build_field(p, m)
+        F = ScalarField(build_field(p, m))
         q = F.q
         for curve in enumerate_curves(F):
             N, d1, d2 = reference_structure(curve)
@@ -277,14 +288,14 @@ def test_structure_against_reference_exhaustive():
 
 def test_points_solver_matches_brute_force():
     for p, m in [(2, 3), (3, 2), (5, 1), (7, 1)]:
-        F = build_field(p, m)
+        F = ScalarField(build_field(p, m))
         for curve in list(enumerate_curves(F))[::7]:
             assert sorted(_points(curve)) == sorted(brute_points(curve))
 
 
 def test_addition_closure_and_associativity():
     rng = random.Random(11)
-    F = build_field(2, 3)
+    F = ScalarField(build_field(2, 3))
     curves = list(enumerate_curves(F))
     for curve in rng.sample(curves, 12):
         pts = _points(curve) + [None]
@@ -301,7 +312,7 @@ def test_addition_closure_and_associativity():
 
 
 def test_scalar_mul_consistency():
-    F = build_field(7, 1)
+    F = ScalarField(build_field(7, 1))
     curve = CurveModel(F, 0, 0, 0, 1, 3)
     pts = _points(curve)
     for P in pts[:5]:
@@ -348,7 +359,7 @@ def test_realized_matches_scalar_brute_force():
     # of cubes and 32 one, and 9, 25 and 27 have characteristic 3
     for q in [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32]:
         p, m = arith.prime_power_decompose(q)
-        F = build_field(p, m)
+        F = ScalarField(build_field(p, m))
         brute = {group_structure(c).shape for c in enumerate_curves(F)}
         assert realized_shapes(q) == brute, q
 
@@ -369,7 +380,7 @@ def test_normal_form_lane_points_match_scalar_points():
     # curve: 32 and 64 hold both characteristic-2 forms at larger fields, 27
     # has a2 != 0 in characteristic 3, and 13 and 49 have q = 1 mod 4
     for p, m in [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (13, 1), (7, 2)]:
-        F = build_field(p, m)
+        F = ScalarField(build_field(p, m))
         rows = _normal_forms(F)
         x, y, f = _lanes(_tables(F), rows)
         for i, a in enumerate(zip(*(r.tolist() for r in rows))):
@@ -384,7 +395,7 @@ def test_lane_doubling_matches_scalar_doubling():
     # every lane of every normal-form row, the identity lane included, in
     # every characteristic; the lanes cover two-torsion points
     for p, m in LANE_LAW_FIELDS:
-        F = build_field(p, m)
+        F = ScalarField(build_field(p, m))
         T = _tables(F)
         rows = _normal_forms(F)
         x, y, f = _lanes(T, rows)
@@ -404,7 +415,7 @@ def test_lane_addition_matches_scalar_addition():
     # included, in every characteristic; the pairs cover P = Q, P = -Q and
     # two-torsion points
     for p, m in LANE_LAW_FIELDS:
-        F = build_field(p, m)
+        F = ScalarField(build_field(p, m))
         T = _tables(F)
         rows = _normal_forms(F)
         x, y, f = _lanes(T, rows)
@@ -436,7 +447,7 @@ def test_resolve_class_matches_scalar_structure():
     rng = random.Random(17)
     seen, split = set(), set()
     for q in [32, 37, 49, 81]:
-        F = build_field(*arith.prime_power_decompose(q))
+        F = ScalarField(build_field(*arith.prime_power_decompose(q)))
         rows = _normal_forms(F)
         N = 1 + _lane_points(_tables(F), rows)[1].sum(axis=1)
         for Nval in np.unique(N).tolist():
@@ -475,7 +486,7 @@ def test_coset_reps_partition_units():
         decomp = arith.prime_power_decompose(q)
         if decomp is None:
             continue
-        F = build_field(*decomp)
+        F = ScalarField(build_field(*decomp))
         for d in (2, 3, 4, 6):
             reps = _coset_reps(_tables(F), d).tolist()
             assert len(reps) == math.gcd(d, q - 1), (q, d)
