@@ -11,6 +11,7 @@ or bound violations.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -159,8 +160,8 @@ def _run_missed(args):
     grid = counting.survey(args.nmax, args.kmax, workers=args.workers)
     obj = {"nmax": args.nmax, "kmax": args.kmax,
            "count_s_pi": grid.count_S_pi, "count_s_Pi": grid.count_S_Pi,
-           "missed": [[s.n, s.k] for s in grid.missed]}
-    return obj, ((s.n, s.k) for s in grid.missed), ("n", "k")
+           "missed": grid.missed}
+    return obj, itertools.chain.from_iterable(grid.missed.chunks()), ("n", "k")
 
 
 def _run_fcurve(args):
@@ -437,6 +438,8 @@ _HANDLERS = {
 
 def _render(args, obj, rows, header):
     if args.format == "json":
+        if isinstance(obj.get("missed"), counting.MissedPairs):
+            return "".join(counting._json_pieces(obj)) + "\n"
         return json.dumps(obj) + "\n"
     if rows is None:
         rows = _flatten(obj)

@@ -22,11 +22,15 @@ entries q = 1 mod n. They are kept as two arrays (n, k), sorted by n, and
 scattered onto each run of finished rows. In-process the kernel runs
 over all rows at once; with several workers, one Executor.map sends
 blocks of rows, each with the context, to forked pool workers running the
-same kernel. The surveys consume the rows a run at a time.
+same kernel. The surveys consume the rows a run at a time, and take each
+run's missed pairs as an (m, 2) int64 array of rows (n, k): no GroupShape
+is built on a bulk path, and the checkpoint and the missed payload encode
+the array as JSON a chunk of rows at a time.
 """
 
 from __future__ import annotations
 
+import collections.abc
 import concurrent.futures
 import functools
 import itertools
@@ -49,15 +53,80 @@ CHECKPOINT_VERSION = 1
 _CHECKPOINT_SECONDS = 30.0
 
 
+# The payload and checkpoint encoders take the missed pairs this many rows
+# at a time: enough to keep json's C encoder busy, few enough that a chunk's
+# list of lists stays below 1 MB.
+_PAIR_CHUNK = 4096
+
+
+class MissedPairs(collections.abc.Sequence):
+    """The missed pairs of a survey: a read-only sequence of GroupShapes
+    held as pairs, an (m, 2) int64 array of rows (n, k) in ascending order.
+
+    A GroupShape is built only when an item, a slice or the iteration
+    reads it. == with another MissedPairs compares the arrays, and with
+    any other sequence compares the items; like the list it stands for,
+    it is unhashable and reprs as that list.
+    """
+
+    __slots__ = ("pairs",)
+    __hash__ = None
+
+    def __init__(self, pairs):
+        self.pairs = pairs.view()
+        self.pairs.flags.writeable = False
+
+    def __len__(self):
+        return len(self.pairs)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(MissedPairs(self.pairs[i]))
+        return GroupShape(*self.pairs[i].tolist())
+
+    def __iter__(self):
+        return map(GroupShape, *self.pairs.T.tolist())
+
+    def __eq__(self, other):
+        if isinstance(other, MissedPairs):
+            return np.array_equal(self.pairs, other.pairs)
+        if isinstance(other, collections.abc.Sequence):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    def __repr__(self):
+        return repr(list(self))
+
+    def chunks(self):
+        """The pairs as lists of [n, k] lists, _PAIR_CHUNK rows at a time."""
+        for i in range(0, len(self.pairs), _PAIR_CHUNK):
+            yield self.pairs[i:i + _PAIR_CHUNK].tolist()
+
+
+def _json_pieces(doc):
+    """The text of json.dumps(doc), in pieces, where doc["missed"], its last
+    value, is a MissedPairs: its chunks of pairs go through json's C encoder
+    one at a time and are spliced into the text of the document with [] in
+    their place, so neither the whole list of lists nor the whole text is
+    built."""
+    head = json.dumps({**doc, "missed": []})
+    assert head.endswith("[]}")
+    yield head[:-2]
+    for i, chunk in enumerate(doc["missed"].chunks()):
+        text = json.dumps(chunk)[1:-1]
+        yield ", " + text if i else text
+    yield head[-2:]
+
+
 @dataclass(frozen=True)
 class CountGrid:
-    """Exact counts and the missed list for one rectangle."""
+    """Exact counts and the missed pairs, a MissedPairs, for one rectangle."""
 
     N: int
     K: int
     count_S_pi: int
     count_S_Pi: int
-    missed: list
+    missed: MissedPairs
 
     def __post_init__(self):
         if not (0 <= self.count_S_pi <= self.count_S_Pi <= self.N * self.K):
@@ -457,23 +526,28 @@ def _member_rows(N, K, workers=1, start_n=1):
 # public surveys
 # ---------------------------------------------------------------------------
 
-def _missed_shapes(first, spp):
-    """The shapes outside the prime-power-witness set in a block from row first."""
-    rows, cols = np.nonzero(~spp[:, 1:])
-    return map(GroupShape, (rows + first).tolist(), (cols + 1).tolist())
+def _missed_pairs(first, spp):
+    """The rows (n, k) outside the prime-power-witness set in a block from
+    row first: an (m, 2) int64 array in ascending order."""
+    pairs = np.argwhere(~spp[:, 1:])
+    pairs += (first, 1)
+    return pairs
 
 
 def survey(N, K, workers=1):
-    """Exact counts and missed pairs for the rectangle [1, N] x [1, K]."""
+    """Exact counts and missed pairs for the rectangle [1, N] x [1, K].
+
+    Each run of rows gives its missed pairs as one array, and the arrays
+    are joined once into the grid's MissedPairs."""
     arith.candidate_bound(N, K)
     n_pi = 0
     n_Pi = 0
-    missed = []
+    runs = []
     for first, spi, spp in _member_rows(N, K, workers):
         n_pi += int(np.count_nonzero(spi))
         n_Pi += int(np.count_nonzero(spp))
-        missed += _missed_shapes(first, spp)
-    return CountGrid(N, K, n_pi, n_Pi, missed)
+        runs.append(_missed_pairs(first, spp))
+    return CountGrid(N, K, n_pi, n_Pi, MissedPairs(np.concatenate(runs)))
 
 
 def _memory_budget():
@@ -514,16 +588,19 @@ def membership_grid(N, K, workers=1):
 
 
 def _write_checkpoint(path, d_max, step, rows_done, missed):
+    """Write the checkpoint of the MissedPairs missed to path, through
+    path.tmp and os.replace: the bytes of json.dump, encoded a chunk of
+    pairs at a time."""
     doc = {
         "version": CHECKPOINT_VERSION,
         "dmax": d_max,
         "step": step,
         "rows_done": rows_done,
-        "missed": [[s.n, s.k] for s in missed],
+        "missed": missed,
     }
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
-        json.dump(doc, fh)
+        fh.writelines(_json_pieces(doc))
     os.replace(tmp, path)
 
 
@@ -532,8 +609,9 @@ def _is_count(x):
 
 
 def _read_checkpoint(path, d_max):
-    """(rows_done, missed) of a checkpoint; its step does not matter, since
-    the missed list is the same for every step.
+    """(rows_done, missed) of a checkpoint, missed a MissedPairs in the
+    file's order; its step does not matter, since the missed pairs are the
+    same for every step.
 
     A file that is not a checkpoint of this d_max raises ValueError: a key
     missing, rows_done outside [0, d_max], or a missed pair that repeats or
@@ -560,28 +638,33 @@ def _read_checkpoint(path, d_max):
                 and 1 <= pair[0] <= rows_done and 1 <= pair[1] <= d_max):
             raise ValueError(f"checkpoint missed pair {pair!r} is not in "
                              f"[1, {rows_done}] x [1, {d_max}]")
-    missed = [GroupShape(n, k) for n, k in pairs]
-    if len(set(missed)) != len(missed):
+    pairs = np.fromiter(itertools.chain.from_iterable(pairs), np.int64,
+                        2 * len(pairs)).reshape(-1, 2)
+    del doc                         # its lists need not outlive the array
+    if np.unique(pairs[:, 0] * (d_max + 1) + pairs[:, 1]).size != len(pairs):
         raise ValueError("checkpoint repeats a missed pair")
-    return rows_done, missed
+    return rows_done, MissedPairs(pairs)
 
 
 def f_series(d_max, step=1, workers=1, resume=None):
     """The missed-pair growth series f(D) = D^2 - #S_Pi(D, D).
 
-    Computes one bulk survey of [1, d_max]^2 and reads every requested D
-    off the sorted missed list. With a resume path, progress is saved at
+    Computes one bulk survey of [1, d_max]^2, keeping each run of rows'
+    missed pairs as an array, and reads every requested D off the sorted
+    maxima max(n, k) of the pairs. With a resume path, progress is saved at
     the first end of a run of finished rows after each _CHECKPOINT_SECONDS
     of wall-clock time (a pool block's end with several workers) and picked
-    up on the next call.
+    up on the next call; the runs are joined only for a checkpoint and at
+    the end.
     """
     if step < 1:
         raise ValueError("step must be positive")
     arith.candidate_bound(d_max, d_max)
     start_n = 1
-    missed = []
+    runs = []
     if resume is not None and os.path.exists(resume):
         rows_done, missed = _read_checkpoint(resume, d_max)
+        runs.append(missed.pairs)
         start_n = rows_done + 1
     if resume is not None:
         # an unwritable checkpoint fails here, not after the rows before it
@@ -589,13 +672,16 @@ def f_series(d_max, step=1, workers=1, resume=None):
         os.remove(resume + ".tmp")
     last_write = time.monotonic()
     for first, _, spp in _member_rows(d_max, d_max, workers, start_n=start_n):
-        missed += _missed_shapes(first, spp)
+        runs.append(_missed_pairs(first, spp))
         if resume is not None and time.monotonic() - last_write >= _CHECKPOINT_SECONDS:
-            _write_checkpoint(resume, d_max, step, first + len(spp) - 1, missed)
+            runs = [np.concatenate(runs)]
+            _write_checkpoint(resume, d_max, step, first + len(spp) - 1, MissedPairs(runs[0]))
             last_write = time.monotonic()
+    pairs = np.concatenate(runs)
+    del runs
     if resume is not None:
-        _write_checkpoint(resume, d_max, step, d_max, missed)
-    tops = np.fromiter((max(s.n, s.k) for s in missed), dtype=np.int64, count=len(missed))
+        _write_checkpoint(resume, d_max, step, d_max, MissedPairs(pairs))
+    tops = pairs.max(axis=1)
     tops.sort()
     Ds = np.arange(step, d_max + 1, step)
     return [SeriesPoint(D, f) for D, f in

@@ -355,6 +355,54 @@ def test_oracle_payloads_pinned(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
+# sha256 of survey payloads, recorded before the missed pairs became an
+# array: the missed payload in each format, and an fcurve run's stdout and
+# checkpoint, whose 4,274 pairs span more than one chunk of the encoder
+SURVEY_PAYLOADS = {
+    "missed --nmax 8000 --kmax 16 --workers 2":
+        "0d95af0a3c98d6dcea92947f7c56da76d3aa0a1eed2a3e3a6ae976d622a49a0f",
+    "missed --nmax 8000 --kmax 16 --workers 2 --format csv":
+        "23fe3f88e0dced18b68b7094f1727ff5834d3b1adbec92c3cd26d5d7a8a550ff",
+    "missed --nmax 8000 --kmax 16 --workers 2 --format csv --header":
+        "4f5af0f11430d00bced175fc5540d097d088d4b4c491e5b8c975482210243613",
+}
+FCURVE_600_STDOUT = "7285cdd83f89dccaaf5e0efda26cf97565017ac18bbe2713db2a61a03504b168"
+FCURVE_600_CHECKPOINT = "26686ff56a8e9f3563613a56014d079599b120717edb875ab6e828d78b03a87f"
+
+
+def test_survey_payloads_pinned(tmp_path, capsys):
+    for argv, digest in SURVEY_PAYLOADS.items():
+        code, out = run(capsys, *argv.split())
+        assert code == 0, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+    ck = tmp_path / "ck.json"
+    code, out = run(capsys, "fcurve", "--dmax", "600", "--step", "10", "--resume", str(ck))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FCURVE_600_STDOUT
+    assert hashlib.sha256(ck.read_bytes()).hexdigest() == FCURVE_600_CHECKPOINT
+    assert len(json.loads(ck.read_text())["missed"]) == 4274
+
+
+@pytest.mark.parametrize("chunk", [1, 8, 16, 17, 18, 100])
+def test_missed_payload_at_chunk_edges(capsys, monkeypatch, chunk):
+    # 0, 1 and 17 pairs (the 10 x 10, 11 x 1 and 25 x 25 rectangles) against
+    # chunks that leave 17 = C - 1, C, C + 1 and 2C + 1: the payload is the
+    # json.dumps text of the pairs as a list of lists
+    monkeypatch.setattr(counting, "_PAIR_CHUNK", chunk)
+    for nmax, kmax, pairs in ((10, 10, 0), (11, 1, 1), (25, 25, 17)):
+        grid = counting.survey(nmax, kmax)
+        assert len(grid.missed) == pairs
+        want = json.dumps({"nmax": nmax, "kmax": kmax, "count_s_pi": grid.count_S_pi,
+                           "count_s_Pi": grid.count_S_Pi,
+                           "missed": [[s.n, s.k] for s in grid.missed]}) + "\n"
+        code, out = run(capsys, "missed", "--nmax", str(nmax), "--kmax", str(kmax))
+        assert code == 0 and out == want, (nmax, kmax)
+        code, out = run(capsys, "missed", "--nmax", str(nmax), "--kmax", str(kmax),
+                        "--format", "csv")
+        assert code == 0
+        assert out == "".join("%d,%d\n" % (s.n, s.k) for s in grid.missed), (nmax, kmax)
+
+
 def test_primes_checks_memory_before_the_walk(monkeypatch, capsys):
     # the window of (1, 2^62) holds 2^33 + 1 values and, by the Montgomery-
     # Vaughan bound, fewer than 7.6 10^8 primes, more than any budget here:
@@ -578,6 +626,38 @@ def test_benchmark_tracer_hooks(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_tracer_counts_missed_pairs(tmp_path):
+    # under the benchmark's tracer, counting.missed_pairs is the number of
+    # pairs in the missed payload and in the fcurve checkpoint, and
+    # counting.checkpoint_bytes is the checkpoint file's size
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "perfbench")]))
+    payload, resume = tmp_path / "missed.json", tmp_path / "fcurve.json"
+    code = ("import json, sys, tracer\n"
+            "from ecgroups import cli\n"
+            "tr = tracer.Tracer()\n"
+            "tracer.install(tr)\n"
+            "counts = []\n"
+            f"for argv in (['missed', '--nmax', '60', '--kmax', '40', '--out', {str(payload)!r}],\n"
+            "             ['fcurve', '--dmax', '60', '--step', '10', '--out', '/dev/null',\n"
+            f"              '--resume', {str(resume)!r}]):\n"
+            "    tr.counts.clear()\n"
+            "    if cli.main(argv):\n"
+            "        sys.exit('%s failed' % argv)\n"
+            "    counts.append(tracer.layer_metrics(tr))\n"
+            "print(json.dumps(counts))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    missed, fcurve = json.loads(proc.stdout)
+    pairs = json.loads(payload.read_text())["missed"]
+    assert missed["counting.missed_pairs"] == len(pairs) > 0
+    assert fcurve["counting.missed_pairs"] == len(json.loads(resume.read_text())["missed"])
+    assert fcurve["counting.missed_pairs"] == 102
+    assert fcurve["counting.checkpoint_bytes"] == resume.stat().st_size
 
 
 def test_out_file(tmp_path, capsys):

@@ -252,6 +252,57 @@ def test_read_checkpoint_accepts_edges(tmp_path):
         counting._read_checkpoint(str(path), 30)
 
 
+def test_missed_pairs_read_as_the_shape_list():
+    # the sequence stands in for the list of GroupShapes a survey returned
+    grid = survey(25, 25)
+    shapes = [GroupShape(n, k) for n, k in MISSED_25]
+    missed = grid.missed
+    assert isinstance(missed, counting.MissedPairs)
+    assert missed.pairs.dtype == np.int64 and missed.pairs.shape == (17, 2)
+    assert missed[0] == GroupShape(11, 1)
+    assert missed[-1] == GroupShape(25, 14) and missed[-17] == shapes[0]
+    with pytest.raises(IndexError):
+        missed[17]
+    assert missed[2:5] == shapes[2:5] and missed[::-3] == shapes[::-3]
+    assert missed[5:5] == []
+    assert list(missed) == shapes and list(reversed(missed)) == shapes[::-1]
+    assert missed == shapes and shapes == missed
+    assert missed == tuple(shapes) and missed == counting.MissedPairs(missed.pairs.copy())
+    changed = shapes[:-1] + [GroupShape(25, 15)]
+    assert missed != changed and changed != missed
+    assert missed != shapes[:-1] and missed != shapes + [GroupShape(26, 1)]
+    other = missed.pairs.copy()
+    other[3, 1] += 1
+    assert missed != counting.MissedPairs(other)
+    assert len(missed) == 17 and GroupShape(19, 7) in missed
+    with pytest.raises(TypeError):
+        hash(missed)
+    assert repr(missed) == repr(shapes)
+    assert repr(grid) == repr(CountGrid(25, 25, 604, 608, shapes))
+    with pytest.raises(ValueError):
+        missed.pairs[0, 0] = 1
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 4, 7])
+def test_pair_encoders_at_chunk_edges(tmp_path, monkeypatch, m):
+    # with chunks of C = 3 pairs, m = 0, 1, C - 1, C, C + 1 and 2C + 1: the
+    # checkpoint holds the bytes json.dumps gives for the list of lists, and
+    # reads back to the same pairs
+    monkeypatch.setattr(counting, "_PAIR_CHUNK", 3)
+    pairs = np.array([(n, k) for n in range(1, 4) for k in range(1, 4)][:m],
+                     dtype=np.int64).reshape(-1, 2)
+    path = str(tmp_path / "ck.json")
+    counting._write_checkpoint(path, 30, 5, 20, counting.MissedPairs(pairs))
+    doc = {"version": counting.CHECKPOINT_VERSION, "dmax": 30, "step": 5,
+           "rows_done": 20, "missed": pairs.tolist()}
+    with open(path) as fh:
+        assert fh.read() == json.dumps(doc)
+    assert not os.path.exists(path + ".tmp")
+    rows_done, missed = counting._read_checkpoint(path, 30)
+    assert rows_done == 20 and np.array_equal(missed.pairs, pairs)
+    assert missed.pairs.shape == (m, 2)
+
+
 def test_workers_bit_identical(monkeypatch):
     # blocks of five rows, so that the surveys take the pool
     monkeypatch.setattr(counting, "_BLOCK_CELLS", 5 * 40)
